@@ -28,9 +28,9 @@ Mechanism map (DESIGN.md §6 has the long form):
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import pickle
-import queue as queue_module
 import threading
 import time
 import uuid
@@ -133,6 +133,12 @@ class ReductionDaemon:
     ``workers=W >= 1`` runs W dispatcher threads, each owning at most one
     worker subprocess at a time, so up to W groups execute concurrently
     with results returned through parent-owned shared memory.
+
+    Finished jobs are retained, not kept forever: a terminal job drops
+    its input partials, and once its result has been returned by
+    :meth:`result` it joins a retention list holding the newest
+    ``max_pending`` such jobs. Older ones are evicted, and their ids then
+    raise the unknown-job :class:`ServiceError`.
     """
 
     def __init__(
@@ -216,6 +222,10 @@ class ReductionDaemon:
         self._lock = threading.Lock()
         self._cond = threading.Condition(self._lock)
         self._jobs: Dict[str, _Job] = {}
+        # Terminal jobs whose result was returned, oldest return first.
+        self._returned: "collections.OrderedDict[str, None]" = (
+            collections.OrderedDict()
+        )
         self._pending: List[str] = []
         self._inflight: Dict[str, int] = {}
         self._counts = {
@@ -356,6 +366,7 @@ class ReductionDaemon:
                         f"tenant {tenant!r} is at its in-flight quota"
                     )
                 self._inflight[tenant] = self._inflight.get(tenant, 0) + 1
+                self._returned.pop(job_id, None)
             now = time.monotonic()
             job.epoch += 1
             job.epoch_started = now
@@ -399,6 +410,7 @@ class ReductionDaemon:
                     job.state in (JobState.DONE, JobState.FAILED)
                     and job.result_epoch == job.epoch
                 ):
+                    self._retain_returned_locked(job_id)
                     if job.state == JobState.DONE:
                         assert job.result is not None
                         return job.result
@@ -496,10 +508,20 @@ class ReductionDaemon:
         self._g_depth.set(float(len(self._pending)))
         self._g_inflight.set(float(sum(self._inflight.values())))
 
+    def _retain_returned_locked(self, job_id: str) -> None:
+        """Move a returned job to the newest end of the retention list and
+        evict the oldest returned jobs beyond ``max_pending``."""
+        self._returned.pop(job_id, None)
+        self._returned[job_id] = None
+        while len(self._returned) > self._max_pending:
+            evicted, _ = self._returned.popitem(last=False)
+            del self._jobs[evicted]
+
     def _fail_locked(self, job: _Job, error: str, reason: str = "error") -> None:
         job.state = JobState.FAILED
         job.error = error
         job.result_epoch = job.epoch
+        job.spec.data = None  # terminal: resubmit brings fresh partials
         tenant = job.spec.tenant
         self._inflight[tenant] = max(0, self._inflight.get(tenant, 0) - 1)
         self._counts["failed"] += 1
@@ -629,9 +651,12 @@ class ReductionDaemon:
 
         Returns the result list on success, an error string otherwise.
         Mirrors the campaign runner's transport: parent-owned segment,
-        one-slot queue for the outcome tag, unlink in every path.
+        a one-way pipe for the outcome tag, unlink in every path. The
+        dispatcher blocks on the pipe and the process sentinel together,
+        bounded by the group deadline, so a finished group is picked up
+        the moment its outcome arrives.
         """
-        from multiprocessing import shared_memory
+        from multiprocessing import connection, shared_memory
 
         from repro.campaigns.runner import _mp_context
 
@@ -644,42 +669,50 @@ class ReductionDaemon:
             create=True,
             size=max(SHM_MIN_BYTES, SHM_BYTES_PER_JOB * len(requests)),
         )
-        result_queue = ctx.Queue(maxsize=1)
+        reader, writer = ctx.Pipe(duplex=False)
         proc = ctx.Process(
             target=group_worker_entry,
-            args=(requests, shm.name, result_queue, self._kernel_backend),
+            args=(requests, shm.name, writer, self._kernel_backend),
             daemon=True,
         )
         deadlines = [j.deadline for j in group if j.deadline is not None]
         deadline = min(deadlines) if deadlines else None
         try:
             proc.start()
+            writer.close()  # the worker holds the only write end now
             while True:
-                try:
-                    msg = result_queue.get_nowait()
-                except queue_module.Empty:
-                    msg = None
-                if msg is not None:
-                    proc.join()
-                    tag, payload = msg
-                    if tag == "shm":
-                        raw = bytes(shm.buf[: int(payload)])
-                        return pickle.loads(raw)
-                    if tag == "inline":
-                        return payload
-                    return str(payload)  # worker-side exception text
-                if not proc.is_alive():
+                timeout = (
+                    None
+                    if deadline is None
+                    else max(0.0, deadline - time.monotonic())
+                )
+                ready = connection.wait([reader, proc.sentinel], timeout)
+                if reader in ready:
+                    try:
+                        tag, payload = reader.recv()
+                    except EOFError:  # died before (or while) reporting
+                        pass
+                    else:
+                        proc.join()
+                        if tag == "shm":
+                            raw = bytes(shm.buf[: int(payload)])
+                            return pickle.loads(raw)
+                        if tag == "inline":
+                            return payload
+                        return str(payload)  # worker-side exception text
+                if ready:
                     proc.join()
                     return f"worker crashed (exit code {proc.exitcode})"
                 if deadline is not None and time.monotonic() > deadline:
                     proc.terminate()
                     proc.join()
                     return "deadline exceeded while running"
-                time.sleep(0.02)
         finally:
             if proc.is_alive():  # pragma: no cover - close() interrupt path
                 proc.terminate()
                 proc.join()
+            reader.close()
+            writer.close()
             shm.close()
             try:
                 shm.unlink()
@@ -730,6 +763,7 @@ class ReductionDaemon:
                 job.state = JobState.DONE
                 job.result_epoch = job.epoch
                 job.error = None
+                job.spec.data = None  # terminal: resubmit brings fresh partials
                 tenant = job.spec.tenant
                 self._inflight[tenant] = max(
                     0, self._inflight.get(tenant, 0) - 1

@@ -44,7 +44,8 @@ class JobSpec:
     :func:`repro.linalg.reduction_service.normalize_partials` —
     validation happens *before* the job enters the queue, so a malformed
     submission is rejected synchronously instead of failing later inside
-    a batch that other tenants' jobs share.
+    a batch that other tenants' jobs share. The daemon drops it (``None``)
+    once the job is terminal; a resubmission brings fresh partials.
 
     ``seed``/``call_index`` mirror :class:`ReductionService`'s schedule
     accounting: the reduction runs with
@@ -56,7 +57,7 @@ class JobSpec:
     tenant: str
     algorithm: str
     topology: Topology
-    data: np.ndarray
+    data: Optional[np.ndarray]
     scalar_input: bool
     epsilon: float = 1e-15
     aggregate: str = "average"

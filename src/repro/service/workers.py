@@ -5,8 +5,8 @@ Mirrors the campaign runner's group machinery
 segment per in-flight group (PID-prefixed ``repro-svc-*`` names, so
 leaks are attributable and the smoke tests can scan for them), the
 worker attaches without taking ownership, writes the pickled results
-and signals the payload size on a one-slot queue. Oversized payloads
-fall back to shipping inline through the queue. The parent unlinks the
+and signals the payload size on a one-way pipe. Oversized payloads
+fall back to shipping inline through the pipe. The parent unlinks the
 segment in *every* outcome path — success, worker error, crash, timeout
 and retry — so no segment outlives its attempt.
 
@@ -54,10 +54,10 @@ def attach_shm(name: str):
 def group_worker_entry(
     requests: List[ExecRequest],
     shm_segment_name: str,
-    result_queue,
+    result_conn,
     kernel_backend: Optional[str] = None,
 ) -> None:
-    """Subprocess body for one job group.
+    """Subprocess body for one job group; the outcome goes to ``result_conn``.
 
     The ``crash_attempts`` test seam fires here and only here: an
     in-process daemon never hard-kills itself, but a subprocess dying
@@ -76,10 +76,10 @@ def group_worker_entry(
         try:
             if len(payload) <= shm.size:
                 shm.buf[: len(payload)] = payload
-                result_queue.put(("shm", len(payload)))
+                result_conn.send(("shm", len(payload)))
             else:
-                result_queue.put(("inline", results))
+                result_conn.send(("inline", results))
         finally:
             shm.close()
     except Exception as exc:  # noqa: BLE001 - forwarded to the parent
-        result_queue.put(("error", f"{type(exc).__name__}: {exc}"))
+        result_conn.send(("error", f"{type(exc).__name__}: {exc}"))

@@ -29,7 +29,11 @@ against the object engine):
   contraction), which the close-tolerance parity suite bounds.
 - **Unique sender slots.** Each sender appears at most once per round and
   receiver ``(node, slot)`` pairs are unique, so per-edge state updates
-  are collision-free by construction.
+  are collision-free by construction. Senders arrive strictly ascending,
+  so a round in which all ``n`` nodes send has ``senders == arange(n)``.
+- **Contiguous state.** State arrays are C-contiguous; the NumPy
+  reference writes through flat views and raises
+  :class:`~repro.exceptions.ConfigurationError` on anything else.
 """
 
 from __future__ import annotations

@@ -100,6 +100,7 @@ class VectorizedEngine(abc.ABC):
                 )
         self._scripted_targets = targets
         self._slot_lookup: Optional[Tuple[np.ndarray, int]] = None
+        self._receiver_table: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     # ------------------------------------------------------------------
     # Introspection
@@ -325,9 +326,15 @@ class VectorizedEngine(abc.ABC):
         self, senders: np.ndarray, slots: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Receivers and the receiver-side slots for these sends."""
-        receivers = self._arrays.nbr[senders, slots].astype(np.int64)
-        receiver_slots = self._arrays.slot_of[senders, slots].astype(np.int64)
-        return receivers, receiver_slots
+        if self._receiver_table is None:
+            # int64 copies indexed by flat edge id (node * max_degree + slot).
+            self._receiver_table = (
+                self._arrays.nbr.astype(np.int64).ravel(),
+                self._arrays.slot_of.astype(np.int64).ravel(),
+            )
+        nbr, slot_of = self._receiver_table
+        edge = senders * self._arrays.max_degree + slots
+        return nbr[edge], slot_of[edge]
 
     def _zero_failed_links(self, nodes: np.ndarray, slots: np.ndarray) -> None:
         """Forget per-edge protocol state at ``(nodes[k], slots[k])``.

@@ -176,17 +176,30 @@ class BatchedEngine:
         self._loss = np.array(
             [float(run.loss_probability) for run in runs]
         )
-        self._targets: List[Optional[np.ndarray]] = []
+        # Scripted schedules, stacked (scripted runs, rounds, n) and padded
+        # with -1 (silent) past each run's own length; _script_of maps a
+        # run to its row (-1 for runs on the native schedule).
+        scripts = []
+        self._script_of = np.full(self._runs, -1, dtype=np.int64)
         for r, run in enumerate(runs):
-            targets = run.targets
-            if targets is not None:
-                targets = np.asarray(targets, dtype=np.int64)
-                if targets.ndim != 2 or targets.shape[1] != n:
-                    raise ConfigurationError(
-                        f"batch run {r}: scripted targets must be "
-                        f"(rounds, {n}), got {targets.shape}"
-                    )
-            self._targets.append(targets)
+            if run.targets is None:
+                continue
+            targets = np.asarray(run.targets, dtype=np.int64)
+            if targets.ndim != 2 or targets.shape[1] != n:
+                raise ConfigurationError(
+                    f"batch run {r}: scripted targets must be "
+                    f"(rounds, {n}), got {targets.shape}"
+                )
+            self._script_of[r] = len(scripts)
+            scripts.append(targets)
+        self._script_len = np.array([len(t) for t in scripts], dtype=np.int64)
+        self._script = np.full(
+            (len(scripts), int(self._script_len.max(initial=0)), n),
+            -1,
+            dtype=np.int64,
+        )
+        for i, targets in enumerate(scripts):
+            self._script[i, : len(targets)] = targets
 
         # Schedule-visible neighborhood: live_list[i, :live_degree[i]] are
         # the slots node i may still draw; handled link failures shrink it.
@@ -376,59 +389,9 @@ class BatchedEngine:
             self._blocked[node, slot] = True
             self._perm_dead[node, slot] = True
 
-        n = self._n
-        active = np.nonzero(~self._retired)[0]
-        sender_parts: List[np.ndarray] = []
-        slot_parts: List[np.ndarray] = []
-        delivered_parts: List[np.ndarray] = []
-        for r in active:
-            base = r * n
-            targets = self._targets[r]
-            if targets is not None:
-                if rnd >= len(targets):
-                    raise ConfigurationError(
-                        f"scripted schedule exhausted at round {rnd}"
-                    )
-                row = targets[rnd]
-                local = np.nonzero(row >= 0)[0]
-                senders_r = local + base
-                slots_r = self._engine._slots_for_targets(
-                    senders_r, row[local] + base
-                )
-            else:
-                # Same stream consumption as a single vectorized engine:
-                # one uniform draw per node per round. Failure-free runs
-                # have live_degree == degree and live_list[i, s] == s, so
-                # the chosen slots match the single engine bit-for-bit.
-                draws = self._rngs[r].random(n)
-                live_deg = self._live_degree[base : base + n]
-                local = np.nonzero(live_deg > 0)[0]
-                senders_r = local + base
-                picks = np.floor(draws[local] * live_deg[local]).astype(
-                    np.int64
-                )
-                slots_r = self._live_list[senders_r, picks]
-            loss = self._loss[r]
-            if loss > 0.0:
-                delivered_r = self._rngs[r].random(len(senders_r)) >= loss
-            else:
-                delivered_r = np.ones(len(senders_r), dtype=bool)
-            # Physically dead links swallow the message in transport; the
-            # sender still spent its round on it (object-engine semantics).
-            delivered_r = delivered_r & ~self._blocked[senders_r, slots_r]
-            self._messages_sent[r] += len(senders_r)
-            self._messages_delivered[r] += int(delivered_r.sum())
-            sender_parts.append(senders_r)
-            slot_parts.append(slots_r)
-            delivered_parts.append(delivered_r)
-
-        if sender_parts:
-            # Run-major concatenation: within each run, messages keep the
-            # ascending-sender order a single-run engine would use, which
-            # preserves the np.add.at accumulation order bit-for-bit.
-            senders = np.concatenate(sender_parts)
-            slots = np.concatenate(slot_parts)
-            delivered = np.concatenate(delivered_parts)
+        active = np.flatnonzero(~self._retired)
+        if len(active):
+            senders, slots, delivered = self._assemble(rnd, active)
             if self.phase_timer is not None:
                 t0 = time.perf_counter()
                 self._engine._apply_round(senders, slots, delivered)
@@ -450,6 +413,91 @@ class BatchedEngine:
             # max_rounds rounds — callers with mixed budgets can share a
             # batch without over-running the short ones.
             self._retired |= (self._caps >= 0) & (self._executed >= self._caps)
+
+    def _assemble(
+        self, rnd: int, active: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """One round's messages for the ``active`` runs, as whole arrays.
+
+        Messages are run-major with ascending senders within a run — the
+        order a single-run engine uses, which keeps every run's
+        ``np.add.at`` accumulation order, and so its state, bit-for-bit
+        identical to running it alone. Each run's generator is drawn in a
+        single engine's order: ``random(n)`` for slot picks on the native
+        schedule, then ``random(k)`` for loss over its ``k`` messages.
+        Updates the per-run message counters.
+        """
+        n = self._n
+        md = self._arrays.max_degree
+        scripted = self._script_of[active] >= 0
+        native = active[~scripted]
+        parts = []
+        if len(native):
+            # One uniform draw per node per round. Failure-free runs have
+            # live_degree == degree and live_list[i, s] == s, so the
+            # chosen slots match the single engine bit-for-bit.
+            draws = np.empty((len(native), n))
+            for row, r in zip(draws, native):
+                self._rngs[r].random(out=row)
+            if len(native) == self._runs:
+                nodes = None  # every node of the batch
+                live_deg = self._live_degree
+            else:
+                nodes = (native[:, None] * n + np.arange(n)).ravel()
+                live_deg = self._live_degree[nodes]
+            # draws * live_deg >= 0, so truncation is the floor.
+            picks = (draws.ravel() * live_deg).astype(np.int64)
+            sending = np.flatnonzero(live_deg > 0)
+            senders = sending if nodes is None else nodes[sending]
+            slots = self._live_list.ravel()[senders * md + picks[sending]]
+            parts.append((senders, slots))
+        if scripted.any():
+            runs = active[scripted]
+            rows = self._script_of[runs]
+            if (self._script_len[rows] <= rnd).any():
+                raise ConfigurationError(
+                    f"scripted schedule exhausted at round {rnd}"
+                )
+            targets = self._script[rows, rnd]
+            run_pos, local = np.nonzero(targets >= 0)
+            base = runs[run_pos] * n
+            senders = base + local
+            slots = self._engine._slots_for_targets(
+                senders, targets[run_pos, local] + base
+            )
+            parts.append((senders, slots))
+        if len(parts) == 1:
+            senders, slots = parts[0]
+        else:
+            senders = np.concatenate([p[0] for p in parts])
+            order = np.argsort(senders, kind="stable")
+            senders = senders[order]
+            slots = np.concatenate([p[1] for p in parts])[order]
+
+        run_of = senders // n
+        lossy = active[self._loss[active] > 0.0]
+        if len(lossy):
+            # Loss-free runs compare 0.0 >= 0.0 and always deliver.
+            uniform = np.zeros(len(senders))
+            starts = np.searchsorted(senders, lossy * n)
+            ends = np.searchsorted(senders, lossy * n + n)
+            for r, lo, hi in zip(lossy, starts, ends):
+                self._rngs[r].random(out=uniform[lo:hi])
+            delivered = uniform >= self._loss[run_of]
+        else:
+            delivered = np.ones(len(senders), dtype=bool)
+        if self._blocked.any():
+            # Physically dead links swallow the message in transport; the
+            # sender still spent its round on it (object-engine semantics).
+            delivered &= ~self._blocked.ravel()[senders * md + slots]
+        sent = np.bincount(run_of, minlength=self._runs)
+        self._messages_sent += sent
+        self._messages_delivered += (
+            sent
+            if delivered.all()
+            else np.bincount(run_of[delivered], minlength=self._runs)
+        )
+        return senders, slots, delivered
 
     def _handle_link(self, gi: int, gj: int, si: int, sj: int) -> None:
         """Failure-detector handling: discard edge state, shrink schedules."""

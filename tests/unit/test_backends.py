@@ -12,6 +12,7 @@ import pytest
 
 from repro.exceptions import ConfigurationError
 from repro.topology import hypercube
+from repro.topology.random_graphs import erdos_renyi
 from repro.vectorized import backends as backends_mod
 from repro.vectorized.backends import (
     BACKEND_NAMES,
@@ -26,6 +27,7 @@ from repro.vectorized.backends import (
 from repro.vectorized.batched import BatchedEngine, BatchedRun
 from repro.vectorized.engines import VectorPushSum
 from repro.vectorized.parity import vector_engine_for
+from repro.vectorized.topology_arrays import TopologyArrays
 
 ALGORITHMS = (
     "push_sum",
@@ -179,6 +181,134 @@ class TestKernelParity:
         np.testing.assert_allclose(
             ref.estimates(), jit.estimates(), rtol=1e-12, atol=1e-12
         )
+
+
+def _arbitrary_round(seed):
+    """Kernel state that need not be reachable, plus one round of messages.
+
+    Random role bits and eras, exact and signed zeros, passive copies that
+    mirror the peer exactly, idle senders and dropped messages: every
+    branch of the flow kernels (adopt, cancel, swap, repair, role
+    mismatch, boundary refresh, catch-up) gets inputs.
+    """
+    rng = np.random.default_rng(seed)
+    arrays = TopologyArrays.from_topology(erdos_renyi(12, 0.4, seed=seed))
+    n, md, d = arrays.n, arrays.max_degree, 2
+    nbr, slot_of = arrays.nbr, arrays.slot_of
+
+    def floats(*shape):
+        x = rng.standard_normal(shape)
+        x[rng.random(shape) < 0.2] = 0.0
+        x[rng.random(shape) < 0.05] = -0.0
+        return x
+
+    fval, fw = floats(n, md, 2, d), floats(n, md, 2)
+    for i in range(n):
+        for s in range(arrays.degree[i]):
+            if rng.random() < 0.3:
+                j, t = nbr[i, s], slot_of[i, s]
+                fval[j, t], fw[j, t] = -fval[i, s], -fw[i, s]
+    senders = np.flatnonzero(rng.random(n) < 0.8)
+    slots = (rng.random(len(senders)) * arrays.degree[senders]).astype(np.int64)
+    messages = (
+        senders,
+        slots,
+        nbr[senders, slots].astype(np.int64),
+        slot_of[senders, slots].astype(np.int64),
+        rng.random(len(senders)) >= 0.2,
+    )
+    state = {
+        "fval": fval,
+        "fw": fw,
+        "c": rng.integers(0, 2, (n, md)).astype(np.int8),
+        "r": rng.integers(0, 4, (n, md)),
+        "frozen_val": floats(n, md, d),
+        "frozen_w": floats(n, md),
+        "initiator": (np.arange(n)[:, None] < nbr) & (nbr >= 0),
+        "phi_val": floats(n, d),
+        "phi_w": floats(n),
+        "v0": floats(n, d),
+        "w0": np.abs(floats(n)) + 1.0,
+        "flow_val": floats(n, md, d),
+        "flow_w": floats(n, md),
+        "val": floats(n, d),
+        "w": np.abs(floats(n)),
+    }
+    return state, messages
+
+
+_KERNEL_STATE = {
+    "push_sum_round": ("val", "w"),
+    "push_flow_round": ("flow_val", "flow_w", "v0", "w0"),
+    "pcf_round": ("fval", "fw", "c", "r", "phi_val", "phi_w", "v0", "w0"),
+    "pcf_hardened_round": (
+        "fval",
+        "fw",
+        "r",
+        "frozen_val",
+        "frozen_w",
+        "initiator",
+        "phi_val",
+        "phi_w",
+        "v0",
+        "w0",
+    ),
+}
+
+
+class TestArbitraryStateParity:
+    """The flat-index numpy kernels against the numba loop kernels in
+    Python mode, one round from arbitrary state, bit for bit."""
+
+    @pytest.mark.parametrize("kernel", sorted(_KERNEL_STATE))
+    def test_one_round_bit_for_bit(self, kernel):
+        for seed in range(25):
+            state, messages = _arbitrary_round(seed)
+            if kernel == "push_sum_round":
+                messages = (messages[0], messages[2], messages[4])
+            outcomes = []
+            for backend in (NumpyKernels(), NumbaKernels(jit=False)):
+                args = [state[name].copy() for name in _KERNEL_STATE[kernel]]
+                returned = getattr(backend, kernel)(*args, *messages)
+                outcomes.append((returned, [a.tobytes() for a in args]))
+            assert outcomes[0] == outcomes[1], (kernel, seed)
+
+
+class TestContiguityGuard:
+    """The numpy kernels write per-edge state through flat views; a view
+    of a non-contiguous array would be a copy and swallow every write."""
+
+    @pytest.mark.parametrize(
+        "algorithm",
+        ["push_flow", "push_cancel_flow", "push_cancel_flow_hardened"],
+    )
+    def test_strided_flow_state_is_refused_before_any_write(self, algorithm):
+        engine = vector_engine_for(algorithm)(
+            hypercube(3), np.arange(8.0), np.ones(8), seed=3
+        )
+        engine.run(4)
+        # Same values, every other element of a wider buffer.
+        wide = np.zeros(engine._fval.shape[:-1] + (2 * engine.dimension,))
+        strided = wide[..., ::2]
+        strided[...] = engine._fval
+        engine._fval = strided
+        before = engine.estimate_pairs()
+        with pytest.raises(ConfigurationError, match="C-contiguous"):
+            engine.step()
+        after = engine.estimate_pairs()
+        assert before[0].tobytes() == after[0].tobytes()
+        assert before[1].tobytes() == after[1].tobytes()
+
+    def test_strided_push_sum_state_is_refused(self):
+        val = np.zeros((8, 2))[:, ::2]
+        with pytest.raises(ConfigurationError, match="C-contiguous"):
+            NumpyKernels().push_sum_round(
+                val,
+                np.ones(8),
+                np.arange(8),
+                np.roll(np.arange(8), 1),
+                np.ones(8, dtype=bool),
+            )
 
 
 class TestFallbackEndToEnd:

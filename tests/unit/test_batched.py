@@ -11,6 +11,7 @@ layers on top of that invariant.
 import numpy as np
 import pytest
 
+from repro.dynamics import scripted_churn
 from repro.exceptions import ConfigurationError
 from repro.faults.events import LinkFailure
 from repro.simulation.observers import Observer
@@ -155,6 +156,85 @@ class TestNativeParity:
         b = estimates_with_first_seed(2)
         assert not np.array_equal(a[0], b[0])
         assert np.array_equal(a[1], b[1])
+
+
+def _mixed_runs(rounds):
+    """One run per batch feature, on two topologies of equal n but
+    different degree (so the stacked union has padded slots)."""
+    cube, circle = hypercube(4), ring(16)
+    data = _batch_data(cube, 6, seed=21)
+    ones = np.ones(cube.n)
+    script = materialize_schedule(UniformGossipSchedule(16, 5), circle, rounds)
+    churn = scripted_churn([(10, "leave", 3), (25, "join", 3), (30, "leave", 7)])
+    failure = LinkFailure(round=8, u=0, v=1, detection_delay=3)
+    return [
+        BatchedRun(topology=cube, values=data[0], weights=ones, rng=1),
+        BatchedRun(
+            topology=circle,
+            values=data[1],
+            weights=ones,
+            rng=2,
+            loss_probability=0.3,
+        ),
+        BatchedRun(topology=circle, values=data[2], weights=ones, targets=script),
+        BatchedRun(
+            topology=cube, values=data[3], weights=ones, rng=4, max_rounds=23
+        ),
+        BatchedRun(
+            topology=cube,
+            values=data[4],
+            weights=ones,
+            rng=5,
+            loss_probability=0.1,
+            link_failures=(failure,),
+        ),
+        BatchedRun(
+            topology=circle,
+            values=data[5],
+            weights=ones,
+            rng=6,
+            topology_schedule=churn,
+        ),
+    ]
+
+
+class TestMixedBatchParity:
+    """Every batch feature at once: each run must be unaffected by its
+    batch-mates, bit for bit — the whole-batch round assembly keeps
+    messages run-major and each run's draws in single-engine order."""
+
+    ROUNDS = 60
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_each_run_matches_a_batch_of_one(self, algorithm):
+        mixed = BatchedEngine(algorithm, _mixed_runs(self.ROUNDS))
+        mixed.run(self.ROUNDS)
+        for r, run in enumerate(_mixed_runs(self.ROUNDS)):
+            alone = BatchedEngine(algorithm, [run])
+            alone.run(self.ROUNDS)
+            assert mixed.estimates()[r].tobytes() == alone.estimates()[0].tobytes()
+            assert mixed.run_rounds[r] == alone.run_rounds[0]
+            assert mixed.messages_sent[r] == alone.messages_sent[0]
+            assert mixed.messages_delivered[r] == alone.messages_delivered[0]
+        assert mixed.run_rounds.tolist() == [60, 60, 60, 23, 60, 60]
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_native_scripted_and_lossy_runs_match_single_engine(self, algorithm):
+        mixed = BatchedEngine(algorithm, _mixed_runs(self.ROUNDS))
+        mixed.run(self.ROUNDS)
+        for r, run in enumerate(_mixed_runs(self.ROUNDS)[:3]):
+            single = vector_engine_for(algorithm)(
+                run.topology,
+                run.values,
+                run.weights,
+                seed=0 if run.rng is None else run.rng,
+                loss_probability=run.loss_probability,
+                targets=run.targets,
+            )
+            single.run(self.ROUNDS)
+            assert mixed.estimates()[r].tobytes() == single.estimates().tobytes()
+            assert mixed.messages_sent[r] == single.messages_sent
+            assert mixed.messages_delivered[r] == single.messages_delivered
 
 
 class TestRetirement:

@@ -355,6 +355,99 @@ class TestWorkerDeath:
                 daemon.result(job_id, timeout=60)
             assert daemon.stats().failed == 1
 
+    def test_running_group_past_its_deadline_is_terminated(self, monkeypatch):
+        # The dispatcher blocks on the worker's pipe and sentinel, bounded
+        # by the group deadline: a worker still running at the deadline is
+        # killed promptly and its segment unlinked.
+        monkeypatch.setattr(
+            batch_mod, "execute_group", lambda *a, **k: time.sleep(60)
+        )
+        with ReductionDaemon(
+            workers=1, retries=0, linger_s=0.0, start_method="fork"
+        ) as daemon:
+            job_id = daemon.submit(
+                tenant="slow",
+                algorithm="push_sum",
+                topology=ring(4),
+                partials=[1.0, 2.0, 3.0, 4.0],
+                epsilon=1e-9,
+                deadline_s=0.5,
+            )
+            t0 = time.monotonic()
+            with pytest.raises(JobFailedError, match="deadline exceeded while running"):
+                daemon.result(job_id, timeout=30)
+            assert time.monotonic() - t0 < 10
+        assert glob.glob(f"/dev/shm/repro-svc-{os.getpid()}-*") == []
+
+
+class TestFinishedJobRetention:
+    def _wave(self, daemon, topo, wave, size):
+        ids = [
+            daemon.submit(
+                tenant=f"t{k}",
+                algorithm="push_sum",
+                topology=topo,
+                partials=[float(wave), 1.0, 2.0, float(k)],
+                epsilon=1e-9,
+                seed=k,
+                call_index=wave,
+            )
+            for k in range(size)
+        ]
+        return ids, [daemon.result(job_id, timeout=30) for job_id in ids]
+
+    def test_returned_jobs_are_evicted_beyond_max_pending(self):
+        topo = ring(4)
+        with ReductionDaemon(workers=0, max_pending=8, linger_s=0.0) as daemon:
+            first, _ = self._wave(daemon, topo, 0, 4)
+            for wave in range(1, 100):
+                ids, _ = self._wave(daemon, topo, wave, 4)
+                assert len(daemon.jobs()) <= 8
+            # The newest returned jobs stay readable; the oldest are gone.
+            assert daemon.result(ids[-1], timeout=1).estimates is not None
+            with pytest.raises(ServiceError, match="unknown job"):
+                daemon.result(first[0], timeout=1)
+            with pytest.raises(ServiceError, match="unknown job"):
+                daemon.resubmit(first[0], [1.0, 1.0, 1.0, 1.0])
+            assert daemon.stats().completed == 400
+
+    def test_terminal_job_drops_partials_until_resubmitted(self):
+        topo = ring(4)
+        with ReductionDaemon(workers=0) as daemon:
+            job_id = daemon.submit(
+                tenant="a",
+                algorithm="push_sum",
+                topology=topo,
+                partials=[1.0, 2.0, 3.0, 4.0],
+                epsilon=1e-9,
+            )
+            daemon.result(job_id, timeout=30)
+            assert daemon._jobs[job_id].spec.data is None
+            daemon.resubmit(job_id, [4.0, 3.0, 2.0, 1.0])
+            daemon.result(job_id, timeout=30)
+            assert daemon._jobs[job_id].spec.data is None
+
+    def test_unreturned_results_are_kept(self):
+        topo = ring(4)
+        with ReductionDaemon(workers=0, max_pending=2) as daemon:
+            kept, _ = self._wave(daemon, topo, 0, 1)
+            unread = daemon.submit(
+                tenant="a",
+                algorithm="push_sum",
+                topology=topo,
+                partials=[1.0, 2.0, 3.0, 4.0],
+                epsilon=1e-9,
+                call_index=1,
+            )
+            while daemon.stats().completed < 2:
+                time.sleep(0.01)
+            for wave in range(1, 5):
+                self._wave(daemon, topo, wave, 2)
+            # Never returned, so never evicted, however many waves pass.
+            assert daemon.result(unread, timeout=1).epoch == 0
+            with pytest.raises(ServiceError, match="unknown job"):
+                daemon.result(kept[0], timeout=1)
+
 
 class TestEpochResubmission:
     def test_queued_job_swaps_inputs_in_place(self, monkeypatch):
