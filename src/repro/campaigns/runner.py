@@ -39,7 +39,6 @@ import math
 import multiprocessing
 import os
 import pathlib
-import queue as queue_module
 import sys
 import time
 from typing import Callable, Dict, List, Optional, Tuple, Union
@@ -425,6 +424,9 @@ def _execute_cells_batched(
     retire_ok: List[bool] = []
     sizes: List[int] = []
     schedules: List[object] = []
+    # Each distinct topology is built once per group: a group's cells share
+    # their topology spec, and only random families depend on the seed.
+    topologies: Dict[Tuple[str, Optional[int]], object] = {}
     for cell in cells:
         topo_spec: Dict[str, object] = dict(cell["topology"])  # type: ignore[arg-type]
         family = str(topo_spec.pop("family"))
@@ -433,9 +435,17 @@ def _execute_cells_batched(
         topo_stream, data_stream, fault_stream, sched_stream = (
             _cell_seed_streams(seed)
         )
-        topology = topology_registry.build(
-            family, n, seed=_stream_seed(topo_stream), **topo_spec
+        topo_seed = _stream_seed(topo_stream)
+        seeded = family.lower() in topology_registry.RANDOM_FAMILIES
+        key = (
+            json.dumps(cell["topology"], sort_keys=True),
+            topo_seed if seeded else None,
         )
+        topology = topologies.get(key)
+        if topology is None:
+            topology = topologies[key] = topology_registry.build(
+                family, n, seed=topo_seed, **topo_spec
+            )
         data = _make_data(data_kind, n, _stream_seed(data_stream))
         truths.append(float(true_aggregate(kind, list(data))))
         initial = initial_mass_pairs(kind, list(data))
@@ -514,8 +524,10 @@ def _execute_cells_batched(
     delivered = engine.messages_delivered
     run_rounds = engine.run_rounds
     records: List[Dict[str, object]] = []
+    all_errors = history.max_errors
+    all_mass_records = mass_probe.records
     for r, cell in enumerate(cells):
-        errors = history.max_errors[r]
+        errors = all_errors[r]
         final_error = errors[-1] if errors else float("inf")
         converged = math.isfinite(final_error) and final_error <= epsilon
         finite_errors = [e for e in errors if math.isfinite(e)]
@@ -543,7 +555,7 @@ def _execute_cells_batched(
                 }
             )
 
-        mass_records = mass_probe.records[r]
+        mass_records = all_mass_records[r]
         cell_rounds = int(run_rounds[r])
         tail_start = max(0, cell_rounds - max(cell_rounds // 4, 1))
         tail_drifts = [d for rnd, d in mass_records if rnd >= tail_start]
@@ -600,7 +612,7 @@ def _execute_cells_batched(
         )
     # One snapshot for the whole group, riding on its last record: the
     # parent merges it exactly once per successful attempt, whether the
-    # group ran in-process or in a worker (shm/queue transport is JSON,
+    # group ran in-process or in a worker (shm/pipe transport is JSON,
     # and the snapshot is a plain JSON-able dict).
     records[-1]["_metrics_snapshot"] = registry.snapshot()
     return records
@@ -711,12 +723,12 @@ def _mp_context(start_method: Optional[str] = None):
     return multiprocessing.get_context(start_method)
 
 
-def _worker_entry(cell: Dict[str, object], result_queue) -> None:
+def _worker_entry(cell: Dict[str, object], result_conn) -> None:
     """Subprocess body: run the cell, ship the outcome (or the error) home."""
     try:
-        result_queue.put(execute_cell(cell))
+        result_conn.send(execute_cell(cell))
     except Exception as exc:  # noqa: BLE001 - forwarded to the parent
-        result_queue.put(
+        result_conn.send(
             {
                 "cell_id": cell["cell_id"],
                 "status": "worker_error",
@@ -730,8 +742,62 @@ class _Attempt:
     cell: Dict[str, object]
     attempt: int  # 1-based
     process: object = None
-    queue: object = None
+    reader: object = None
     deadline: Optional[float] = None
+
+
+def _start(ctx, item, target, *args) -> None:
+    """Fork/spawn one attempt with a one-way pipe for its outcome."""
+    item.reader, writer = ctx.Pipe(duplex=False)
+    item.process = ctx.Process(target=target, args=(*args, writer), daemon=True)
+    item.process.start()
+    writer.close()  # the worker holds the only write end now
+
+
+def _wait_any(running: list) -> None:
+    """Block until an attempt reports, exits or reaches the nearest deadline."""
+    from multiprocessing import connection
+
+    deadlines = [item.deadline for item in running if item.deadline is not None]
+    timeout = (
+        max(0.0, min(deadlines) - time.monotonic()) if deadlines else None
+    )
+    connection.wait(
+        [item.reader for item in running]
+        + [item.process.sentinel for item in running],
+        timeout,
+    )
+
+
+def _outcome(item) -> Tuple[str, object]:
+    """One attempt's state: ("result", payload), ("crashed", exit code),
+    ("timeout", None) or ("running", None).
+
+    A landed result wins over an expired deadline (the work is done either
+    way), and liveness is sampled before the pipe so a worker that reported
+    and exited is never mistaken for a crash. Finished attempts are joined
+    (a timed-out one terminated first) and their pipe closed.
+    """
+    proc = item.process
+    alive = proc.is_alive()
+    state: Tuple[str, object]
+    if item.reader.poll():
+        try:
+            state = ("result", item.reader.recv())
+        except EOFError:  # died before (or while) reporting
+            state = ("crashed", None)
+    elif not alive:
+        state = ("crashed", None)
+    elif item.deadline is not None and time.monotonic() > item.deadline:
+        proc.terminate()
+        state = ("timeout", None)
+    else:
+        return ("running", None)
+    proc.join()
+    item.reader.close()
+    if state[0] == "crashed":
+        state = ("crashed", proc.exitcode)
+    return state
 
 
 def _run_serial(
@@ -838,46 +904,27 @@ def _run_parallel(
     while todo or running:
         while todo and len(running) < workers:
             item = todo.pop()
-            item.queue = ctx.Queue(maxsize=1)
-            item.process = ctx.Process(
-                target=_worker_entry,
-                args=(item.cell, item.queue),
-                daemon=True,
-            )
-            item.process.start()
+            _start(ctx, item, _worker_entry, item.cell)
             item.deadline = (
                 time.monotonic() + timeout if timeout is not None else None
             )
             running.append(item)
 
-        time.sleep(0.02)
+        _wait_any(running)
         still_running: List[_Attempt] = []
         for item in running:
-            proc = item.process
-            # Prefer a landed result over an expired deadline: the work is
-            # done either way.
-            record: Optional[Dict[str, object]] = None
-            try:
-                record = item.queue.get_nowait()  # type: ignore[union-attr]
-            except queue_module.Empty:
-                record = None
-            if record is not None:
-                proc.join()  # type: ignore[union-attr]
+            state, payload = _outcome(item)
+            if state == "result":
+                record: Dict[str, object] = payload  # type: ignore[assignment]
                 if record.get("status") == "ok":
                     record["attempts"] = item.attempt
                     stats["ok"] += 1
                     on_record(record)
                 else:  # the worker caught an in-run exception
                     settle(item, str(record.get("error", "worker error")))
-            elif not proc.is_alive():  # type: ignore[union-attr]
-                proc.join()  # type: ignore[union-attr]
-                settle(
-                    item,
-                    f"worker crashed (exit code {proc.exitcode})",  # type: ignore[union-attr]
-                )
-            elif item.deadline is not None and time.monotonic() > item.deadline:
-                proc.terminate()  # type: ignore[union-attr]
-                proc.join()  # type: ignore[union-attr]
+            elif state == "crashed":
+                settle(item, f"worker crashed (exit code {payload})")
+            elif state == "timeout":
                 settle(item, f"timeout after {timeout:g}s")
             else:
                 still_running.append(item)
@@ -892,7 +939,7 @@ def _run_parallel(
 
 #: Per-cell capacity estimate for a group's result payload. Records are
 #: ~1-2 KB of JSON; 8 KB per cell leaves generous headroom, and a group
-#: whose payload still exceeds its segment falls back to the queue.
+#: whose payload still exceeds its segment falls back to the pipe.
 _SHM_BYTES_PER_CELL = 8192
 _SHM_MIN_BYTES = 65536
 
@@ -919,13 +966,13 @@ def _attach_shm(name: str):
 
 
 def _group_worker_entry(
-    cells: List[Dict[str, object]], shm_name: str, result_queue
+    cells: List[Dict[str, object]], shm_name: str, result_conn
 ) -> None:
     """Subprocess body for one batched group.
 
     Writes the group's records as JSON into the parent's shared-memory
-    segment and signals the payload size on the queue; oversized payloads
-    fall back to shipping the records inline through the queue.
+    segment and signals the payload size on the pipe; oversized payloads
+    fall back to shipping the records inline through the pipe.
     """
     try:
         records = _execute_cells_batched(cells)
@@ -934,13 +981,13 @@ def _group_worker_entry(
         try:
             if len(payload) <= shm.size:
                 shm.buf[: len(payload)] = payload
-                result_queue.put(("shm", len(payload)))
+                result_conn.send(("shm", len(payload)))
             else:
-                result_queue.put(("inline", records))
+                result_conn.send(("inline", records))
         finally:
             shm.close()
     except Exception as exc:  # noqa: BLE001 - forwarded to the parent
-        result_queue.put(("error", f"{type(exc).__name__}: {exc}"))
+        result_conn.send(("error", f"{type(exc).__name__}: {exc}"))
 
 
 @dataclasses.dataclass
@@ -948,7 +995,7 @@ class _GroupAttempt:
     cells: List[Dict[str, object]]
     attempt: int  # 1-based
     process: object = None
-    queue: object = None
+    reader: object = None
     shm: object = None
     deadline: Optional[float] = None
 
@@ -1040,13 +1087,7 @@ def _run_parallel_batched(
                         _SHM_MIN_BYTES, _SHM_BYTES_PER_CELL * len(item.cells)
                     ),
                 )
-                item.queue = ctx.Queue(maxsize=1)
-                item.process = ctx.Process(
-                    target=_group_worker_entry,
-                    args=(item.cells, item.shm.name, item.queue),
-                    daemon=True,
-                )
-                item.process.start()
+                _start(ctx, item, _group_worker_entry, item.cells, item.shm.name)
                 item.deadline = (
                     time.monotonic() + timeout * len(item.cells)
                     if timeout is not None
@@ -1054,18 +1095,12 @@ def _run_parallel_batched(
                 )
                 running.append(item)
 
-            time.sleep(0.02)
+            _wait_any(running)
             still_running: List[_GroupAttempt] = []
             for item in running:
-                proc = item.process
-                msg: Optional[Tuple[str, object]] = None
-                try:
-                    msg = item.queue.get_nowait()  # type: ignore[union-attr]
-                except queue_module.Empty:
-                    msg = None
-                if msg is not None:
-                    proc.join()  # type: ignore[union-attr]
-                    tag, payload = msg
+                state, msg = _outcome(item)
+                if state == "result":
+                    tag, payload = msg  # type: ignore[misc]
                     if tag == "shm":
                         nbytes = int(payload)  # type: ignore[arg-type]
                         raw = bytes(item.shm.buf[:nbytes])  # type: ignore[union-attr]
@@ -1074,18 +1109,9 @@ def _run_parallel_batched(
                         finish(item, payload)  # type: ignore[arg-type]
                     else:  # the worker caught an in-run exception
                         settle(item, str(payload))
-                elif not proc.is_alive():  # type: ignore[union-attr]
-                    proc.join()  # type: ignore[union-attr]
-                    settle(
-                        item,
-                        f"worker crashed (exit code {proc.exitcode})",  # type: ignore[union-attr]
-                    )
-                elif (
-                    item.deadline is not None
-                    and time.monotonic() > item.deadline
-                ):
-                    proc.terminate()  # type: ignore[union-attr]
-                    proc.join()  # type: ignore[union-attr]
+                elif state == "crashed":
+                    settle(item, f"worker crashed (exit code {msg})")
+                elif state == "timeout":
                     settle(
                         item,
                         f"group timeout after "
@@ -1097,11 +1123,13 @@ def _run_parallel_batched(
             running = still_running
     finally:
         # Belt and braces: a raising on_record (or KeyboardInterrupt) must
-        # not leak segments of still-running groups.
+        # not leak segments or pipes of still-running groups.
         for item in running:
             if item.process is not None and item.process.is_alive():  # type: ignore[union-attr]
                 item.process.terminate()  # type: ignore[union-attr]
                 item.process.join()  # type: ignore[union-attr]
+            if item.reader is not None:
+                item.reader.close()  # type: ignore[union-attr]
             release(item)
     return stats
 

@@ -191,7 +191,7 @@ def _execute_vector_batch(
     best_round = np.full(n_runs, -1, dtype=np.int64)
 
     def run_errors() -> np.ndarray:
-        est = engine.estimates()  # (R, n, d)
+        est = engine.round_estimates().estimates  # (R, n, d), shared
         finite = np.isfinite(est).all(axis=(1, 2))
         with np.errstate(invalid="ignore"):
             # Max over the run's (n, d) block first, then one divide by

@@ -67,6 +67,9 @@ def build(family: str, n: int, *, seed: Optional[int] = None, **kwargs: object) 
     raise TopologyError(f"unknown topology family {family!r}")
 
 
+#: Families whose graph depends on the ``seed`` passed to :func:`build`.
+RANDOM_FAMILIES = frozenset({"erdos_renyi", "random_regular"})
+
 FAMILIES = (
     "bus",
     "ring",

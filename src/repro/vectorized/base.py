@@ -343,7 +343,8 @@ class VectorizedEngine(abc.ABC):
         batched executor: each endpoint discards its edge state when a
         permanent link failure is detected. Push-sum keeps no per-edge
         state, so the base implementation is a no-op. The (node, slot)
-        pairs passed in are distinct, so fancy-indexed updates are safe.
+        pairs passed in are distinct, but a node may repeat: its fold-outs
+        apply in the given order, as one event after another would.
         """
 
     def _reset_nodes(self, nodes: np.ndarray) -> None:

@@ -30,6 +30,9 @@ Per-run features on top of the stacked kernels:
   pick it), at ``round + detection_delay`` both endpoints discard their
   edge state (:meth:`VectorizedEngine._zero_failed_links`) and exclude
   the neighbor from future schedule draws;
+- per-run dynamic topologies (churn / partition / outage), compiled at
+  construction into per-round segments that apply to the whole batch in
+  a few array operations (see :meth:`BatchedEngine._compile_deltas`);
 - early retirement: ``stop_when`` returns a per-run mask and retired
   (e.g. converged) runs stop sending while the rest of the batch keeps
   going, freezing their state at the retirement round.
@@ -38,18 +41,19 @@ Per-run features on top of the stacked kernels:
 whole-batch equivalents of :class:`repro.metrics.history.ErrorHistory`
 and :class:`repro.telemetry.probes.MassConservationProbe`, so the
 campaign runner can emit records that are schema-identical to the
-object-engine path.
+object-engine path. Both read the engine's one shared estimate per round
+(:meth:`BatchedEngine.round_estimates`) and record one row per round.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import time
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.dynamics.schedule import TopologySchedule
+from repro.dynamics.schedule import DELTA_KINDS, TopologySchedule
 from repro.exceptions import ConfigurationError
 from repro.faults.events import LinkFailure
 from repro.topology.base import Topology
@@ -91,6 +95,29 @@ class BatchedRun:
     #: leaves the run bounded only by ``run(max_rounds)`` — this is how a
     #: batch multiplexes jobs with different round budgets.
     max_rounds: Optional[int] = None
+
+
+class _DeltaSegment(NamedTuple):
+    """Same-kind events (``DELTA_KINDS`` index) of one segment, all runs.
+
+    ``a``/``b`` are global node ids (``b`` is -1 for node events) and
+    ``sa``/``sb`` the edge's slot at each endpoint.
+    """
+
+    kind: int
+    a: np.ndarray
+    b: np.ndarray
+    sa: np.ndarray
+    sb: np.ndarray
+
+
+class RoundEstimates(NamedTuple):
+    """One round's per-run estimates and membership (read-only arrays)."""
+
+    values: np.ndarray  # (R, n, d)
+    weights: np.ndarray  # (R, n)
+    estimates: np.ndarray  # (R, n, d): values / weights
+    node_alive: np.ndarray  # (R, n)
 
 
 def _stack_topologies(
@@ -205,47 +232,25 @@ class BatchedEngine:
         # the slots node i may still draw; handled link failures shrink it.
         total = arrays.n
         md = arrays.max_degree
-        self._slot_alive = (
-            np.arange(md)[None, :] < arrays.degree[:, None]
-        )
+        self._slot_index = np.arange(md)
+        self._slot_alive = self._slot_index < arrays.degree[:, None]
         self._live_degree = arrays.degree.astype(np.int64).copy()
-        self._live_list = np.where(
-            self._slot_alive, np.arange(md)[None, :], 0
-        ).astype(np.int64)
+        self._live_list = np.where(self._slot_alive, self._slot_index, 0)
         # Transport-dead slots: messages sent on them vanish (the sender
         # still spends its round on them until the failure is handled).
         self._blocked = np.zeros((total, md), dtype=bool)
         # Dynamic-topology state. node_alive tracks join/leave membership;
         # perm_dead marks slots taken by *permanent* link failures (which
-        # dynamics must never revive); dyn_down holds the currently-downed
-        # transient edges as canonical global (min, max) pairs.
+        # dynamics must never revive); dyn_down marks both slots of every
+        # currently-downed transient edge.
         self._node_alive = np.ones(total, dtype=bool)
         self._perm_dead = np.zeros((total, md), dtype=bool)
-        self._dyn_down: set = set()
-        self._dyn_events: Dict[int, List[Tuple]] = {}
-        self._fail_events: Dict[int, List[Tuple[int, int]]] = {}
-        self._handle_events: Dict[int, List[Tuple[int, int, int, int]]] = {}
-        for r, run in enumerate(runs):
-            schedule = run.topology_schedule
-            if schedule is not None and not schedule.is_empty():
-                schedule.validate_against(run.topology)
-                base = r * n
-                for delta in schedule.deltas:
-                    if delta.kind in ("edge_down", "edge_up"):
-                        u, v = delta.edge
-                        self._dyn_events.setdefault(delta.round, []).append(
-                            (
-                                delta.kind,
-                                base + u,
-                                base + v,
-                                run.topology.neighbor_index(u, v),
-                                run.topology.neighbor_index(v, u),
-                            )
-                        )
-                    else:
-                        self._dyn_events.setdefault(delta.round, []).append(
-                            (delta.kind, base + delta.node)
-                        )
+        self._dyn_down = np.zeros((total, md), dtype=bool)
+        self._deltas = self._compile_deltas(runs)
+        # Per-round link failures as (nodes, slots) rows: both endpoints of
+        # each link, one link after another.
+        fails: Dict[int, List[Tuple[int, int]]] = {}
+        handles: Dict[int, List[Tuple[int, int]]] = {}
         for r, run in enumerate(runs):
             base = r * n
             seen_edges = set()
@@ -261,15 +266,14 @@ class BatchedEngine:
                         f"batch run {r}: link failure ({u}, {v}) is not an "
                         "edge of the run's topology"
                     )
-                su = run.topology.neighbor_index(u, v)
-                sv = run.topology.neighbor_index(v, u)
-                gi, gj = base + u, base + v
-                self._fail_events.setdefault(lf.round, []).extend(
-                    [(gi, su), (gj, sv)]
-                )
-                self._handle_events.setdefault(lf.handle_round, []).append(
-                    (gi, gj, su, sv)
-                )
+                ends = [
+                    (base + u, run.topology.neighbor_index(u, v)),
+                    (base + v, run.topology.neighbor_index(v, u)),
+                ]
+                fails.setdefault(lf.round, []).extend(ends)
+                handles.setdefault(lf.handle_round, []).extend(ends)
+        self._fails = {t: np.array(p).T for t, p in fails.items()}
+        self._handles = {t: np.array(p).T for t, p in handles.items()}
 
         # Optional kernel profiler: when the campaign runner (or a caller)
         # attaches a PhaseTimer here, every fused `_apply_round` kernel
@@ -298,6 +302,8 @@ class BatchedEngine:
         self._messages_sent = np.zeros(self._runs, dtype=np.int64)
         self._messages_delivered = np.zeros(self._runs, dtype=np.int64)
         self._last_active = np.zeros(self._runs, dtype=bool)
+        self._shared: Optional[RoundEstimates] = None
+        self._shared_round = -1  # round of the cached estimates
 
     # ------------------------------------------------------------------
     # Introspection
@@ -351,17 +357,36 @@ class BatchedEngine:
         """Per-run node membership, shape (R, n) — False while departed."""
         return self._node_alive.reshape(self._runs, self._n).copy()
 
+    def round_estimates(self) -> RoundEstimates:
+        """This round's estimates, computed once and shared read-only.
+
+        The batch observers and stop rules of one round all read this one
+        copy; it is recomputed after the next :meth:`step`.
+        """
+        if self._shared_round != self._round:
+            values, weights = self._engine.estimate_pairs()
+            with np.errstate(divide="ignore", invalid="ignore"):
+                estimates = values / weights[:, None]
+            runs, n, d = self._runs, self._n, self._d
+            self._shared = RoundEstimates(
+                values.reshape(runs, n, d),
+                weights.reshape(runs, n),
+                estimates.reshape(runs, n, d),
+                self._node_alive.reshape(runs, n).copy(),
+            )
+            for part in self._shared:
+                part.setflags(write=False)
+            self._shared_round = self._round
+        return self._shared
+
     def estimate_pairs(self) -> Tuple[np.ndarray, np.ndarray]:
         """Per-run ``(values (R, n, d), weights (R, n))`` estimate pairs."""
-        values, weights = self._engine.estimate_pairs()
-        return (
-            values.reshape(self._runs, self._n, self._d),
-            weights.reshape(self._runs, self._n),
-        )
+        shared = self.round_estimates()
+        return shared.values.copy(), shared.weights.copy()
 
     def estimates(self) -> np.ndarray:
         """Per-node aggregate estimates, shape (R, n, d)."""
-        return self._engine.estimates().reshape(self._runs, self._n, self._d)
+        return self.round_estimates().estimates.copy()
 
     # ------------------------------------------------------------------
     # Execution
@@ -382,12 +407,12 @@ class BatchedEngine:
         # Topology deltas apply at the very start of the round — between
         # rounds no messages are in flight, so the transition instant is
         # unambiguous (same semantics as the object engine).
-        for event in self._dyn_events.get(rnd, ()):
-            if not self._retired[event[1] // self._n]:
-                self._apply_dyn_event(event)
-        for node, slot in self._fail_events.get(rnd, ()):
-            self._blocked[node, slot] = True
-            self._perm_dead[node, slot] = True
+        if rnd in self._deltas:
+            self._apply_deltas(self._deltas[rnd])
+        if rnd in self._fails:
+            nodes, slots = self._fails[rnd]
+            self._blocked[nodes, slots] = True
+            self._perm_dead[nodes, slots] = True
 
         active = np.flatnonzero(~self._retired)
         if len(active):
@@ -401,8 +426,8 @@ class BatchedEngine:
             else:
                 self._engine._apply_round(senders, slots, delivered)
 
-        for gi, gj, si, sj in self._handle_events.get(rnd, ()):
-            self._handle_link(gi, gj, si, sj)
+        if rnd in self._handles:
+            self._handle_links(*self._handles[rnd])
 
         self._last_active = ~self._retired
         self._executed[active] += 1
@@ -499,116 +524,171 @@ class BatchedEngine:
         )
         return senders, slots, delivered
 
-    def _handle_link(self, gi: int, gj: int, si: int, sj: int) -> None:
-        """Failure-detector handling: discard edge state, shrink schedules."""
+    def _handle_links(self, nodes: np.ndarray, slots: np.ndarray) -> None:
+        """Failure-detector handling: discard edge state, shrink schedules.
+
+        Only endpoints whose slot is still alive fold: a side that dynamics
+        already took down, or whose node departed, has nothing left to
+        discard (object engine: ``on_link_failed`` only where the neighbor
+        is still listed).
+        """
         # Mark the slots permanently dead first: even when dynamics already
         # downed the edge (slot not alive), a later edge_up / node_join must
         # not revive a permanently failed link.
-        self._perm_dead[gi, si] = True
-        self._perm_dead[gj, sj] = True
-        if not self._slot_alive[gi, si]:
-            return
-        self._engine._zero_failed_links(
-            np.array([gi, gj]), np.array([si, sj])
-        )
-        for node, slot in ((gi, si), (gj, sj)):
-            self._slot_alive[node, slot] = False
-            self._blocked[node, slot] = True
-            self._recompute_live(node)
+        self._perm_dead[nodes, slots] = True
+        up = self._slot_alive[nodes, slots]
+        if up.any():
+            self._cut(nodes[up], slots[up])
+            self._recompute_live(nodes[up])
 
     # ------------------------------------------------------------------
     # Dynamic topology (churn / partition / outage)
     # ------------------------------------------------------------------
-    def _recompute_live(self, node: int) -> None:
-        live = np.nonzero(self._slot_alive[node])[0]
-        self._live_list[node, : len(live)] = live
-        self._live_list[node, len(live) :] = 0
-        self._live_degree[node] = len(live)
+    def _compile_deltas(
+        self, runs: Sequence[BatchedRun]
+    ) -> Dict[int, List[_DeltaSegment]]:
+        """Every run's topology schedule as per-round whole-batch segments.
 
-    def _apply_dyn_event(self, event: Tuple) -> None:
-        kind = event[0]
-        if kind == "edge_down":
-            self._dyn_edge_down(*event[1:])
-        elif kind == "edge_up":
-            self._dyn_edge_up(*event[1:])
-        elif kind == "node_leave":
-            self._dyn_node_leave(event[1])
-        else:
-            self._dyn_node_join(event[1])
+        A segment is a maximal stretch of same-kind events of one run in
+        one round. Segment ``k`` of every run applies together, one array
+        operation per kind: runs touch disjoint state, so only the order
+        within a run matters, and same-kind events of one segment commute
+        except for the order of PCF fold-outs, which the apply methods keep.
+        Inside a segment a repeated edge or node is a no-op and is dropped.
+        """
+        rows = []
+        for r, run in enumerate(runs):
+            schedule = run.topology_schedule
+            if schedule is None or schedule.is_empty():
+                continue
+            schedule.validate_against(run.topology)
+            rows.extend(
+                (d.round, DELTA_KINDS.index(d.kind), r)
+                + ((d.node, -1) if d.edge is None else d.edge)
+                for d in schedule.deltas
+            )
+        if not rows:
+            return {}
+        rnd, kind, run_of, a, b = np.array(rows, dtype=np.int64).T
+        a += run_of * self._n
+        b = np.where(b >= 0, b + run_of * self._n, -1)
+        new_round = np.r_[
+            True, (run_of[1:] != run_of[:-1]) | (rnd[1:] != rnd[:-1])
+        ]
+        seg = np.cumsum(new_round | np.r_[True, kind[1:] != kind[:-1]]) - 1
+        k = seg - seg[new_round][np.cumsum(new_round) - 1]  # index in round
+        _, first = np.unique(np.stack((seg, a, b)), axis=1, return_index=True)
+        keep = np.sort(first)
+        keep = keep[np.lexsort((kind[keep], k[keep], rnd[keep]))]  # stable
+        rnd, k, kind, a, b = (x[keep] for x in (rnd, k, kind, a, b))
+        edge = b >= 0
+        sa, sb = np.zeros((2, len(a)), dtype=np.int64)
+        sa[edge] = self._engine._slots_for_targets(a[edge], b[edge])
+        sb[edge] = self._engine._slots_for_targets(b[edge], a[edge])
+        cuts = np.flatnonzero(np.diff(rnd) | np.diff(k) | np.diff(kind)) + 1
+        segments: Dict[int, List[_DeltaSegment]] = {}
+        for lo, hi in zip(np.r_[0, cuts], np.r_[cuts, len(a)]):
+            parts = (x[lo:hi] for x in (a, b, sa, sb))
+            segments.setdefault(int(rnd[lo]), []).append(
+                _DeltaSegment(int(kind[lo]), *parts)
+            )
+        return segments
 
-    def _dyn_edge_down(self, gi: int, gj: int, si: int, sj: int) -> None:
-        key = (gi, gj) if gi < gj else (gj, gi)
-        if key in self._dyn_down or self._perm_dead[gi, si]:
-            return
-        self._dyn_down.add(key)
-        if not self._slot_alive[gi, si]:
-            # An endpoint already departed — the edge state was discarded
-            # at its departure; only the down marker is recorded.
-            return
-        self._engine._zero_failed_links(
-            np.array([gi, gj]), np.array([si, sj])
-        )
-        for node, slot in ((gi, si), (gj, sj)):
-            self._slot_alive[node, slot] = False
-            self._blocked[node, slot] = True
-            self._recompute_live(node)
+    def _apply_deltas(self, segments: List[_DeltaSegment]) -> None:
+        """Apply one round's segments in order, then refresh live lists."""
+        touched = []
+        any_retired = self._retired.any()
+        for seg in segments:
+            if any_retired:
+                keep = ~self._retired[seg.a // self._n]
+                seg = _DeltaSegment(seg.kind, *(x[keep] for x in seg[1:]))
+            if len(seg.a):
+                touched.append(self._APPLY[seg.kind](self, seg))
+        if touched:
+            self._recompute_live(np.concatenate(touched))
 
-    def _dyn_edge_up(self, gi: int, gj: int, si: int, sj: int) -> None:
-        key = (gi, gj) if gi < gj else (gj, gi)
-        if key not in self._dyn_down:
-            return
-        self._dyn_down.discard(key)
-        if self._perm_dead[gi, si]:
-            return
-        if not (self._node_alive[gi] and self._node_alive[gj]):
-            # A departed endpoint keeps the edge down; its node_join will
-            # revive the slot once both ends are live again.
-            return
-        for node, slot in ((gi, si), (gj, sj)):
-            self._slot_alive[node, slot] = True
-            self._blocked[node, slot] = False
-            self._recompute_live(node)
+    def _cut(self, nodes: np.ndarray, slots: np.ndarray) -> None:
+        """Drop slots from the schedule; their flows fold out in order."""
+        self._engine._zero_failed_links(nodes, slots)
+        self._slot_alive[nodes, slots] = False
+        self._blocked[nodes, slots] = True
 
-    def _dyn_node_leave(self, g: int) -> None:
-        if not self._node_alive[g]:
-            return
+    def _edges_down(self, seg: _DeltaSegment) -> np.ndarray:
+        new = ~(self._dyn_down[seg.a, seg.sa] | self._perm_dead[seg.a, seg.sa])
+        a, b, sa, sb = (x[new] for x in seg[1:])
+        self._dyn_down[a, sa] = True
+        self._dyn_down[b, sb] = True
+        # An endpoint that already departed discarded the edge state at its
+        # departure; only the down marker is recorded.
+        up = self._slot_alive[a, sa]
+        nodes = np.column_stack((a[up], b[up])).ravel()
+        self._cut(nodes, np.column_stack((sa[up], sb[up])).ravel())
+        return nodes
+
+    def _edges_up(self, seg: _DeltaSegment) -> np.ndarray:
+        a, b, sa, sb = (x[self._dyn_down[seg.a, seg.sa]] for x in seg[1:])
+        self._dyn_down[a, sa] = False
+        self._dyn_down[b, sb] = False
+        # A permanently failed link stays dead; a departed endpoint keeps
+        # the edge down until its node_join revives it.
+        ok = ~self._perm_dead[a, sa] & self._node_alive[a]
+        ok &= self._node_alive[b]
+        nodes = np.concatenate((a[ok], b[ok]))
+        slots = np.concatenate((sa[ok], sb[ok]))
+        self._slot_alive[nodes, slots] = True
+        self._blocked[nodes, slots] = False
+        return nodes
+
+    def _nodes_leave(self, seg: _DeltaSegment) -> np.ndarray:
+        g = seg.a[self._node_alive[seg.a]]
         self._node_alive[g] = False
-        for s in range(int(self._arrays.degree[g])):
-            if not self._slot_alive[g, s]:
-                continue
-            gj = int(self._arrays.nbr[g, s])
-            sj = int(self._arrays.slot_of[g, s])
-            # Survivor discards its edge state (object: on_link_failed);
-            # the departing side is frozen and fully reset at rejoin.
-            self._engine._zero_failed_links(np.array([gj]), np.array([sj]))
-            self._slot_alive[g, s] = False
-            self._blocked[g, s] = True
-            self._slot_alive[gj, sj] = False
-            self._blocked[gj, sj] = True
-            self._recompute_live(gj)
-        self._recompute_live(g)
+        pos, s = np.nonzero(self._slot_alive[g])  # event order, slot order
+        src = g[pos]
+        dst, dst_slot = self._engine._receiver_indices(src, s)
+        # The departing side is frozen as-is (reset wholesale at rejoin).
+        self._slot_alive[src, s] = False
+        self._blocked[src, s] = True
+        # Survivors fold their side out (object: on_link_failed), except on
+        # a failed link whose failure is not yet detected — that side stays
+        # alive and blocked until handling — and except toward a node that
+        # left earlier in this segment, whose departure already cut the edge.
+        order = np.full(self._arrays.n, len(g))
+        order[g] = np.arange(len(g))
+        fold = ~self._perm_dead[src, s] & (order[dst] >= pos)
+        self._cut(dst[fold], dst_slot[fold])
+        return np.concatenate((g, dst[fold]))
 
-    def _dyn_node_join(self, g: int) -> None:
-        if self._node_alive[g]:
-            return
+    def _nodes_join(self, seg: _DeltaSegment) -> np.ndarray:
+        g = seg.a[~self._node_alive[seg.a]]
         self._node_alive[g] = True
-        self._engine._reset_nodes(np.array([g]))
-        for s in range(int(self._arrays.degree[g])):
-            if self._perm_dead[g, s]:
-                continue
-            gj = int(self._arrays.nbr[g, s])
-            sj = int(self._arrays.slot_of[g, s])
-            if not self._node_alive[gj]:
-                continue
-            key = (g, gj) if g < gj else (gj, g)
-            if key in self._dyn_down:
-                continue
-            self._slot_alive[g, s] = True
-            self._blocked[g, s] = False
-            self._slot_alive[gj, sj] = True
-            self._blocked[gj, sj] = False
-            self._recompute_live(gj)
-        self._recompute_live(g)
+        self._engine._reset_nodes(g)
+        # Revive every edge toward a live neighbor (joiners of this segment
+        # included) unless it is permanently failed or dynamically down.
+        nbr = self._arrays.nbr[g]
+        pos, s = np.nonzero(
+            (nbr >= 0) & ~self._perm_dead[g] & ~self._dyn_down[g]
+        )
+        src, dst = g[pos], nbr[pos, s]
+        live = self._node_alive[dst]
+        src, s, dst = src[live], s[live], dst[live]
+        nodes = np.concatenate((src, dst))
+        slots = np.concatenate((s, self._arrays.slot_of[src, s]))
+        self._slot_alive[nodes, slots] = True
+        self._blocked[nodes, slots] = False
+        return np.concatenate((g, dst))
+
+    #: Apply methods indexed by kind code (DELTA_KINDS order).
+    _APPLY = (_edges_down, _edges_up, _nodes_leave, _nodes_join)
+
+    def _recompute_live(self, rows: np.ndarray) -> None:
+        alive = self._slot_alive[rows]
+        degree = alive.sum(axis=1)
+        self._live_degree[rows] = degree
+        self._live_list[rows] = np.where(
+            self._slot_index < degree[:, None],
+            np.argsort(~alive, axis=1, kind="stable"),
+            0,
+        )
 
     def run(
         self,
@@ -646,6 +726,36 @@ class BatchedEngine:
         return self._executed - start
 
 
+class _RunSeries:
+    """Per-run series, recorded as one whole-batch row per round.
+
+    ``active`` marks the runs that record a row, so a retired run's series
+    ends at its retirement round; ``last`` is each run's latest value.
+    """
+
+    def __init__(self, runs: int) -> None:
+        self._rows: List[Tuple[int, np.ndarray, np.ndarray]] = []
+        self.last = np.full(runs, np.inf)
+
+    def append(
+        self, round_index: int, row: np.ndarray, active: np.ndarray
+    ) -> None:
+        self._rows.append((round_index, row, active))
+        np.copyto(self.last, row, where=active)
+
+    def runs(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(rounds (T,), values (T, R), active (T, R))`` of every row."""
+        if not self._rows:
+            empty = np.empty((0, len(self.last)))
+            return np.empty(0, dtype=np.int64), empty, empty.astype(bool)
+        rounds, rows, active = zip(*self._rows)
+        return np.array(rounds), np.array(rows), np.array(active)
+
+    def values(self, run: int) -> np.ndarray:
+        _, rows, active = self.runs()
+        return rows[active[:, run], run]
+
+
 class BatchedErrorHistory:
     """Per-run error series — :class:`ErrorHistory` for a whole batch.
 
@@ -665,10 +775,11 @@ class BatchedErrorHistory:
         self._truth = truth  # (R, d)
         scale = np.abs(truth).max(axis=1)
         self._scale = np.where(scale > 0.0, scale, 1.0)
-        self.max_errors: List[List[float]] = [[] for _ in range(len(truth))]
+        self._series = _RunSeries(len(truth))
 
     def on_round_end(self, engine: BatchedEngine, round_index: int) -> None:
-        est = engine.estimates()
+        shared = engine.round_estimates()
+        est = shared.estimates
         with np.errstate(invalid="ignore"):
             diff = np.abs(est - self._truth[:, None, :]).max(axis=2)
         finite = np.isfinite(est).all(axis=2)
@@ -677,29 +788,31 @@ class BatchedErrorHistory:
         )
         # Departed nodes hold frozen (or reset) state that is not part of
         # the computation; exclude them from the run maximum.
-        node_err = np.where(engine.node_alive, node_err, -np.inf)
-        run_max = node_err.max(axis=1)
-        for r in np.nonzero(engine.last_round_active)[0]:
-            self.max_errors[int(r)].append(float(run_max[r]))
+        node_err = np.where(shared.node_alive, node_err, -np.inf)
+        self._series.append(
+            round_index, node_err.max(axis=1), engine._last_active
+        )
+
+    @property
+    def max_errors(self) -> List[List[float]]:
+        """Each run's recorded series, as lists of floats."""
+        _, rows, active = self._series.runs()
+        return [rows[active[:, r], r].tolist() for r in range(rows.shape[1])]
 
     def current_max_errors(self) -> np.ndarray:
         """Latest recorded error per run (inf before any round)."""
-        return np.array(
-            [series[-1] if series else np.inf for series in self.max_errors]
-        )
+        return self._series.last.copy()
 
     def final_max_error(self, run: int) -> float:
-        series = self.max_errors[run]
-        if not series:
+        series = self._series.values(run)
+        if not len(series):
             raise ValueError("no rounds recorded")
-        return series[-1]
+        return float(series[-1])
 
     def first_round_below(self, run: int, threshold: float) -> Optional[int]:
         """First round whose max error is <= threshold (None if never)."""
-        for t, err in enumerate(self.max_errors[run]):
-            if err <= threshold:
-                return t
-        return None
+        below = np.flatnonzero(self._series.values(run) <= threshold)
+        return int(below[0]) if len(below) else None
 
 
 class BatchedMassProbe:
@@ -719,7 +832,7 @@ class BatchedMassProbe:
         self._exp_w: Optional[np.ndarray] = None
         self._scale: Optional[np.ndarray] = None
         self._alive_prev: Optional[np.ndarray] = None
-        self.records: List[List[Tuple[int, float]]] = []
+        self._series: Optional[_RunSeries] = None
         self.violations: Optional[np.ndarray] = None
 
     @staticmethod
@@ -727,23 +840,26 @@ class BatchedMassProbe:
         engine: BatchedEngine,
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Mass sums over live nodes only (departed mass left the system)."""
-        values, weights = engine.estimate_pairs()
-        alive = engine.node_alive
+        shared = engine.round_estimates()
+        alive = shared.node_alive
         return (
-            np.where(alive[:, :, None], values, 0.0).sum(axis=1),
-            np.where(alive, weights, 0.0).sum(axis=1),
+            np.where(alive[:, :, None], shared.values, 0.0).sum(axis=1),
+            np.where(alive, shared.weights, 0.0).sum(axis=1),
             alive,
+        )
+
+    @staticmethod
+    def _scale_of(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        return np.maximum(
+            np.maximum(np.abs(values).max(axis=1), np.abs(weights)), 1e-300
         )
 
     def start(self, engine: BatchedEngine) -> None:
         self._exp_val, self._exp_w, self._alive_prev = self._masked_sums(
             engine
         )
-        self._scale = np.maximum(
-            np.maximum(np.abs(self._exp_val).max(axis=1), np.abs(self._exp_w)),
-            1e-300,
-        )
-        self.records = [[] for _ in range(engine.n_runs)]
+        self._scale = self._scale_of(self._exp_val, self._exp_w)
+        self._series = _RunSeries(engine.n_runs)
         self.violations = np.zeros(engine.n_runs, dtype=np.int64)
 
     def on_round_end(self, engine: BatchedEngine, round_index: int) -> None:
@@ -757,12 +873,8 @@ class BatchedMassProbe:
             # affected runs on the post-change live population.
             self._exp_val[changed] = cur_val[changed]
             self._exp_w[changed] = cur_w[changed]
-            self._scale[changed] = np.maximum(
-                np.maximum(
-                    np.abs(cur_val[changed]).max(axis=1),
-                    np.abs(cur_w[changed]),
-                ),
-                1e-300,
+            self._scale[changed] = self._scale_of(
+                cur_val[changed], cur_w[changed]
             )
             self._alive_prev = alive
         deviation = np.maximum(
@@ -771,12 +883,21 @@ class BatchedMassProbe:
         )
         finite = np.isfinite(cur_val).all(axis=1) & np.isfinite(cur_w)
         drift = np.where(finite, deviation / self._scale, np.inf)
-        violated = drift > self.tolerance
-        for r in np.nonzero(engine.last_round_active)[0]:
-            self.records[int(r)].append((round_index, float(drift[r])))
-            if violated[r]:
-                self.violations[int(r)] += 1
+        active = engine._last_active
+        self.violations += (drift > self.tolerance) & active
+        self._series.append(round_index, drift, active)
+
+    @property
+    def records(self) -> List[List[Tuple[int, float]]]:
+        """Each run's ``(round, drift)`` pairs."""
+        if self._series is None:
+            return []
+        rounds, rows, active = self._series.runs()
+        return [
+            list(zip(rounds[mask].tolist(), rows[mask, r].tolist()))
+            for r, mask in enumerate(active.T)
+        ]
 
     def worst_drift(self, run: int) -> Optional[float]:
-        series = self.records[run]
-        return max(d for _, d in series) if series else None
+        series = self._series.values(run)
+        return float(series.max()) if len(series) else None

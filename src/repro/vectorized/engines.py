@@ -160,11 +160,12 @@ class VectorPushCancelFlow(VectorizedEngine):
 
     def _zero_failed_links(self, nodes, slots) -> None:
         # Object PCF (efficient) folds the edge's total flow back out of phi
-        # (phi = phi - (flow[0] + flow[1])) before dropping the edge state.
+        # (phi = phi - (flow[0] + flow[1])) before dropping the edge state;
+        # a node losing several edges subtracts them in the given order.
         total_val = self._fval[nodes, slots, 0] + self._fval[nodes, slots, 1]
         total_w = self._fw[nodes, slots, 0] + self._fw[nodes, slots, 1]
-        self._phi_val[nodes] = self._phi_val[nodes] - total_val
-        self._phi_w[nodes] = self._phi_w[nodes] - total_w
+        np.subtract.at(self._phi_val, nodes, total_val)
+        np.subtract.at(self._phi_w, nodes, total_w)
         self._fval[nodes, slots] = 0.0
         self._fw[nodes, slots] = 0.0
         self._c[nodes, slots] = 0

@@ -75,8 +75,8 @@ class VectorPushCancelFlowHardened(VectorizedEngine):
         # the hardened engine's frozen reference copies are discarded.
         total_val = self._fval[nodes, slots, 0] + self._fval[nodes, slots, 1]
         total_w = self._fw[nodes, slots, 0] + self._fw[nodes, slots, 1]
-        self._phi_val[nodes] = self._phi_val[nodes] - total_val
-        self._phi_w[nodes] = self._phi_w[nodes] - total_w
+        np.subtract.at(self._phi_val, nodes, total_val)
+        np.subtract.at(self._phi_w, nodes, total_w)
         self._fval[nodes, slots] = 0.0
         self._fw[nodes, slots] = 0.0
         self._r[nodes, slots] = 0

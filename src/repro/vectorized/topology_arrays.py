@@ -14,10 +14,16 @@ operations on distinct indices, i.e. fully data-parallel.
 from __future__ import annotations
 
 import dataclasses
+import weakref
 
 import numpy as np
 
 from repro.topology.base import Topology
+
+#: One TopologyArrays per live Topology; an entry goes with its topology.
+_MEMO: "weakref.WeakKeyDictionary[Topology, TopologyArrays]" = (
+    weakref.WeakKeyDictionary()
+)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -32,6 +38,18 @@ class TopologyArrays:
 
     @classmethod
     def from_topology(cls, topology: Topology) -> "TopologyArrays":
+        """The topology's arrays, built once per topology and shared.
+
+        The arrays are read-only, so every engine on one topology can
+        share them.
+        """
+        arrays = _MEMO.get(topology)
+        if arrays is None:
+            arrays = _MEMO[topology] = cls._build(topology)
+        return arrays
+
+    @classmethod
+    def _build(cls, topology: Topology) -> "TopologyArrays":
         n = topology.n
         max_degree = max(topology.max_degree(), 1)
         nbr = np.full((n, max_degree), -1, dtype=np.int32)

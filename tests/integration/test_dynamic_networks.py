@@ -20,20 +20,27 @@ import pytest
 from repro.algorithms.aggregates import AggregateKind, initial_mass_pairs
 from repro.algorithms.registry import instantiate
 from repro.dynamics import (
+    TopologyDelta,
+    TopologySchedule,
     TraceRecorder,
     load_trace,
     partition_and_heal,
+    poisson_churn,
+    random_edge_flaps,
     regional_outage,
     replay_from_trace,
     scripted_churn,
 )
 from repro.faults import IidMessageLoss
+from repro.faults.events import FaultPlan, LinkFailure
 from repro.simulation.engine import SynchronousEngine
+from repro.simulation.observers import Observer
 from repro.simulation.schedule import FixedSchedule, UniformGossipSchedule
 from repro.topology import hypercube, ring
 from repro.tracing.anomaly import PartitionHealDetector
 from repro.vectorized.batched import BatchedEngine, BatchedRun
 from repro.vectorized.parity import materialize_schedule
+from repro.vectorized.topology_arrays import TopologyArrays
 
 TOPO = hypercube(4)
 DATA = list(np.arange(float(TOPO.n)))
@@ -133,6 +140,128 @@ class TestPartitionAndHeal:
         assert detector.alerts[0]["reason"] == "never_healed"
 
 
+class RecordingSchedule(UniformGossipSchedule):
+    """Uniform gossip that records every choice as a scripted target."""
+
+    def __init__(self, n, seed, rounds):
+        super().__init__(n, seed)
+        self.targets = np.full((rounds, n), -1, dtype=np.int64)
+
+    def choose(self, node, live_neighbors, round_index):
+        target = super().choose(node, live_neighbors, round_index)
+        if target is not None:
+            self.targets[round_index, node] = target
+        return target
+
+
+class LiveViews(Observer):
+    """Each live node's neighbor view at the end of every round."""
+
+    def __init__(self):
+        self.rounds = []
+
+    def on_round_end(self, engine, round_index):
+        self.rounds.append(
+            {
+                i: engine.algorithms[i].neighbors
+                for i in engine.live_nodes()
+            }
+        )
+
+
+def _same_round_mix():
+    # One round whose events do not commute: an edge and its endpoint go
+    # down, the endpoint leaves and rejoins, the edge comes back up; a
+    # repeated edge_down; a node leaving next to a downed edge.
+    topo = hypercube(5)
+    deltas = [
+        TopologyDelta(12, "edge_down", edge=(0, 1)),
+        TopologyDelta(12, "edge_down", edge=(0, 2)),
+        TopologyDelta(12, "edge_down", edge=(0, 2)),
+        TopologyDelta(12, "node_leave", node=0),
+        TopologyDelta(12, "node_leave", node=3),
+        TopologyDelta(12, "node_join", node=0),
+        TopologyDelta(12, "edge_up", edge=(0, 1)),
+        TopologyDelta(12, "edge_down", edge=(1, 3)),
+        TopologyDelta(12, "node_join", node=3),
+        TopologyDelta(20, "edge_up", edge=(0, 2)),
+        TopologyDelta(20, "edge_up", edge=(1, 3)),
+    ]
+    return topo, TopologySchedule(deltas), []
+
+
+def _neighbours_and_toggle():
+    # Adjacent nodes leave in one round (4-5, 4-6 and 5-7 are hypercube
+    # edges), one of them rejoins in the same round, and a third node
+    # toggles leave/join/leave.
+    topo = hypercube(5)
+    deltas = [
+        TopologyDelta(10, "node_leave", node=4),
+        TopologyDelta(10, "node_leave", node=5),
+        TopologyDelta(10, "node_leave", node=6),
+        TopologyDelta(10, "node_leave", node=7),
+        TopologyDelta(10, "node_join", node=5),
+        TopologyDelta(10, "node_leave", node=5),
+        TopologyDelta(10, "node_leave", node=9),
+        TopologyDelta(10, "node_join", node=9),
+        TopologyDelta(10, "node_leave", node=9),
+        TopologyDelta(22, "node_join", node=6),
+        TopologyDelta(22, "node_join", node=4),
+        TopologyDelta(22, "node_join", node=5),
+        TopologyDelta(22, "node_join", node=7),
+        TopologyDelta(22, "node_join", node=9),
+    ]
+    return topo, TopologySchedule(deltas), []
+
+
+def _undetected_failure(node, events):
+    # Link (0, 1) fails at round 10 and is detected only at round 20; an
+    # endpoint departs (and maybe rejoins) while the failure is undetected.
+    def build():
+        topo = hypercube(4)
+        schedule = scripted_churn([(r, action, node) for r, action in events])
+        failure = LinkFailure(round=10, u=0, v=1, detection_delay=10)
+        return topo, schedule, [failure]
+
+    return build
+
+
+DYNAMIC_SCENARIOS = {
+    "partition-heal": lambda: (
+        hypercube(5),
+        partition_and_heal(hypercube(5), round=10, heal_round=25, seed=3),
+        [],
+    ),
+    "regional-outage": lambda: (
+        hypercube(5),
+        regional_outage(hypercube(5), round=8, duration=14, seed=1),
+        [],
+    ),
+    "poisson-churn": lambda: (
+        hypercube(5),
+        poisson_churn(hypercube(5), rate=2.0, start=3, end=30, seed=5),
+        [],
+    ),
+    "edge-flaps": lambda: (
+        hypercube(5),
+        random_edge_flaps(
+            hypercube(5), rate=3.0, duration=4, start=2, end=30, seed=6
+        ),
+        [],
+    ),
+    "same-round-mix": _same_round_mix,
+    "neighbours-and-toggle": _neighbours_and_toggle,
+    "undetected-failure-leave-0": _undetected_failure(0, [(14, "leave")]),
+    "undetected-failure-leave-1": _undetected_failure(1, [(14, "leave")]),
+    "undetected-failure-rejoin-0": _undetected_failure(
+        0, [(13, "leave"), (17, "join")]
+    ),
+    "undetected-failure-rejoin-1": _undetected_failure(
+        1, [(13, "leave"), (17, "join")]
+    ),
+}
+
+
 class TestObjectBatchedParity:
     @pytest.mark.parametrize(
         "algorithm",
@@ -188,6 +317,65 @@ class TestObjectBatchedParity:
         batch.run(rounds)
         vec = batch.estimates()[0]
         np.testing.assert_array_equal(obj, vec)
+
+    @pytest.mark.parametrize(
+        "algorithm",
+        [
+            "push_sum",
+            "push_flow",
+            "push_cancel_flow",
+            "push_cancel_flow_hardened",
+        ],
+    )
+    @pytest.mark.parametrize("scenario", sorted(DYNAMIC_SCENARIOS))
+    def test_dynamic_schedule_parity_bit_for_bit(self, algorithm, scenario):
+        # The object engine draws its own uniform schedule; the batched
+        # engine replays those choices as scripted targets. Replayed targets
+        # alone would hide a wrong live set (the sends match regardless),
+        # so every round also compares each live node's schedule-visible
+        # neighbors against the object algorithm's own view.
+        topo, schedule, link_failures = DYNAMIC_SCENARIOS[scenario]()
+        rounds = 50
+        data = np.random.default_rng(4).uniform(size=topo.n)
+        initial = initial_mass_pairs(AggregateKind.AVERAGE, list(data))
+        algs = instantiate(algorithm, topo, initial)
+        recording = RecordingSchedule(topo.n, seed=7, rounds=rounds)
+        views = LiveViews()
+        obj_engine = SynchronousEngine(
+            topo,
+            algs,
+            recording,
+            fault_plan=FaultPlan(link_failures=link_failures),
+            topology_schedule=schedule,
+            observers=[views],
+        )
+        obj_engine.run(rounds)
+        obj = np.stack(
+            [np.atleast_1d(np.asarray(alg.estimate())) for alg in algs]
+        )
+
+        batch = BatchedEngine(
+            algorithm,
+            [
+                BatchedRun(
+                    topology=topo,
+                    values=data,
+                    weights=np.ones(topo.n),
+                    targets=recording.targets,
+                    link_failures=tuple(link_failures),
+                    topology_schedule=schedule,
+                )
+            ],
+        )
+        nbr = np.asarray(TopologyArrays.from_topology(topo).nbr)
+        for t in range(rounds):
+            batch.step()
+            alive = batch.node_alive[0]
+            assert sorted(views.rounds[t]) == list(np.flatnonzero(alive)), t
+            for node, neighbors in views.rounds[t].items():
+                live = batch._live_list[node, : batch._live_degree[node]]
+                assert tuple(nbr[node, live]) == neighbors, (t, node)
+        np.testing.assert_array_equal(obj, batch.estimates()[0])
 
 
 class TestTraceRecordReplay:

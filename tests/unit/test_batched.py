@@ -607,6 +607,46 @@ class TestBatchObservers:
         assert mass.violations[0] > 0
         assert mass.worst_drift(0) > 1e-6
 
+    def test_round_estimates_shared_read_only_and_refreshed(self):
+        topo = hypercube(3)
+        batch = BatchedEngine(
+            "push_flow",
+            [
+                BatchedRun(
+                    topology=topo,
+                    values=_batch_data(topo, 1)[0],
+                    weights=np.ones(topo.n),
+                    rng=0,
+                )
+            ],
+        )
+        shared = batch.round_estimates()
+        assert batch.round_estimates() is shared
+        assert not any(part.flags.writeable for part in shared)
+        owned = batch.estimates()
+        owned[:] = 0.0  # the caller's copy, not the shared one
+        assert np.array_equal(batch.round_estimates().estimates, shared.estimates)
+        batch.step()
+        fresh = batch.round_estimates()
+        assert fresh is not shared
+        assert np.array_equal(fresh.estimates, batch.estimates())
+        assert not np.array_equal(fresh.estimates, shared.estimates)
+
+
+class TestTopologyArraysMemo:
+    def test_built_once_per_topology_and_released_with_it(self):
+        import gc
+        import weakref
+
+        topo = hypercube(3)
+        arrays = TopologyArrays.from_topology(topo)
+        assert TopologyArrays.from_topology(topo) is arrays
+        assert not arrays.nbr.flags.writeable
+        alive = weakref.ref(topo)
+        del topo
+        gc.collect()
+        assert alive() is None  # the memo holds its keys weakly
+
 
 class TestPerRunCaps:
     def test_capped_runs_freeze_at_their_budget(self):

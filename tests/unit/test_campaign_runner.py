@@ -290,6 +290,36 @@ class TestParallelBatchedGroups:
         # timeout path and on the retry path alike.
         assert leaked_group_segments() == []
 
+    def test_worker_crash_is_retried_then_recorded(self, tmp_path, monkeypatch):
+        import multiprocessing
+
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("crash injection relies on fork inheritance")
+        from repro.campaigns import runner as runner_mod
+
+        # Fork-started workers inherit the patch: every attempt dies hard
+        # before it can report, as a killed or segfaulting worker would.
+        monkeypatch.setattr(
+            runner_mod, "_execute_cells_batched", lambda cells: os._exit(3)
+        )
+        spec = self.batched_spec(
+            algorithms=["push_flow"], seeds=[0], faults=[{"kind": "none"}]
+        )
+        run = run_campaign(
+            spec,
+            tmp_path,
+            workers=1,
+            timeout=60,
+            retries=1,
+            start_method="fork",
+        )
+        assert (run.ok, run.failed, run.retries_used) == (0, 1, 1)
+        (record,) = load_results(tmp_path).values()
+        assert record["status"] == "failed"
+        assert record["error"] == "worker crashed (exit code 3)"
+        assert record["attempts"] == 2
+        assert leaked_group_segments() == []
+
     def test_worker_error_is_retried_then_recorded(self):
         # An in-worker failure (not a crash): an algorithm with no batched
         # implementation makes _execute_cells_batched raise in the worker,
@@ -315,6 +345,38 @@ class TestParallelBatchedGroups:
         assert all(r["status"] == "failed" for r in records)
         assert all(r["error"] for r in records)
         assert leaked_group_segments() == []
+
+
+class TestBatchedGroupTopologies:
+    @pytest.mark.parametrize(
+        "topology,builds",
+        [
+            ({"family": "hypercube", "n": 8}, 1),
+            # Random families depend on the cell seed: one build per seed.
+            ({"family": "erdos_renyi", "n": 8, "p": 0.6}, 2),
+        ],
+    )
+    def test_each_distinct_topology_built_once_per_group(
+        self, monkeypatch, topology, builds
+    ):
+        from repro.campaigns import runner as runner_mod
+
+        real = runner_mod.topology_registry.build
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        spec = tiny_spec(
+            engine="batched",
+            topologies=[topology],
+            faults=[{"kind": "none"}, {"kind": "message_loss", "rate": 0.1}],
+        )
+        monkeypatch.setattr(runner_mod.topology_registry, "build", counting)
+        records = runner_mod._execute_cells_batched(spec.expand())
+        assert [r["status"] for r in records] == ["ok"] * 4
+        assert len(calls) == builds
 
 
 class TestObservabilityFields:
