@@ -231,10 +231,11 @@ def _run_object(
         observers=observers,
     )
 
-    tracker = _StallTracker(stall_rounds)
     last_event = fault_plan.last_event_round() if fault_plan else -1
     error_of = _make_error_fn(truth, error_scale)
     best = _BestTracker()
+    # The stall window opens only once every planned failure is handled.
+    stall = _BestTracker(stall_rounds, first_round=max(last_event, 0))
 
     def stop(eng: SynchronousEngine, round_index: int) -> bool:
         err = error_of(eng.estimates())
@@ -243,7 +244,7 @@ def _run_object(
         # handled — the experiments need the post-failure behaviour.
         if round_index < last_event:
             return False
-        return err <= epsilon or tracker.stalled(err)
+        return stall.observe(err, round_index) or err <= epsilon
 
     rounds = engine.run(cap, stop_when=stop)
     estimates = np.stack(
@@ -285,37 +286,29 @@ def _run_vector(
     weights = np.array([p.weight for p in initial])
     cls = vector_engine_for(algorithm)
     engine = cls(topology, values, weights, seed=seed)
-    truth_vec = np.atleast_1d(np.asarray(truth, dtype=np.float64))
+    truth_vec, scale = _truth_and_scale(truth, error_scale)
 
-    tracker = _StallTracker(stall_rounds)
+    def vec_error() -> float:
+        # Reads the engine's shared pair. Non-finite estimates give an
+        # inf or NaN maximum and NaN reads as inf, so no finiteness pass.
+        values, weights = engine.shared_estimate_pairs()
+        diff = values / weights[:, None]
+        diff -= truth_vec
+        worst = float(np.abs(diff, out=diff).max())
+        return math.inf if math.isnan(worst) else worst / scale
 
-    # Max-norm relative error, matching aggregates.relative_error; an
-    # explicit error_scale overrides the truth-magnitude normalization.
-    if error_scale is not None:
-        scale = float(error_scale)
-    else:
-        scale = float(np.max(np.abs(truth_vec)))
-    if scale <= 0.0:
-        scale = 1.0
-
-    def vec_error(eng) -> float:
-        est = eng.estimates()  # (n, d)
-        if not np.all(np.isfinite(est)):
-            return float("inf")
-        return float(np.max(np.abs(est - truth_vec[None, :])) / scale)
-
-    best = _BestTracker()
+    best = _BestTracker(stall_rounds)
 
     def stop(eng, round_index: int) -> bool:
-        err = vec_error(eng)
-        best.observe(err, round_index)
-        return err <= epsilon or tracker.stalled(err)
+        err = vec_error()
+        return best.observe(err, round_index) or err <= epsilon
 
-    rounds = engine.run(cap, stop_when=stop)
-    estimates = engine.estimates()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rounds = engine.run(cap, stop_when=stop)
+        estimates = engine.estimates()
+        final_error = vec_error()
     if estimates.shape[1] == 1:
         estimates = estimates[:, 0]
-    final_error = vec_error(engine)
     best.observe(final_error, rounds - 1)
     return ReductionResult(
         estimates=estimates,
@@ -334,33 +327,46 @@ def _run_vector(
 
 
 class _BestTracker:
-    """Remembers the lowest max-error observed and when it occurred.
+    """The stop rule's only state: the lowest max-error observed and the
+    round it was first reached.
 
     Gossip error curves fluctuate (transient per-node perturbations heal
     over subsequent rounds), so the paper's "achievable accuracy" — the
     level at which an oracle-terminated run would stop — is the running
-    minimum, not the value at an arbitrary final round.
+    minimum, not the value at an arbitrary final round. A run observed
+    every round from ``first_round`` on has *stalled* when ``window``
+    rounds (at least one) have passed since its best.
     """
 
-    def __init__(self) -> None:
-        self.error = float("inf")
-        self.round = -1
+    def __init__(self, window: Optional[int] = None, first_round: int = 0) -> None:
+        self.error = math.inf
+        self.round = first_round - 1
+        self._gap = None if window is None else max(window, 1)
 
-    def observe(self, error: float, round_index: int) -> None:
+    def observe(self, error: float, round_index: int) -> bool:
+        """Record one round's error; True when the run has stalled."""
         if error < self.error:
             self.error = error
             self.round = round_index
+            return False
+        return self._gap is not None and round_index - self.round >= self._gap
 
 
-def _make_error_fn(truth, error_scale: Optional[float]):
-    """Max-norm error function over a list of per-node estimates."""
+def _truth_and_scale(truth, error_scale: Optional[float]):
+    """The truth as a float vector and the error normalization: an
+    explicit ``error_scale``, else the truth's max-norm (1.0 when zero) —
+    matching :func:`repro.algorithms.aggregates.relative_error`."""
     truth_vec = np.atleast_1d(np.asarray(truth, dtype=np.float64))
     if error_scale is not None:
         scale = float(error_scale)
     else:
         scale = float(np.max(np.abs(truth_vec)))
-    if scale <= 0.0:
-        scale = 1.0
+    return truth_vec, 1.0 if scale <= 0.0 else scale
+
+
+def _make_error_fn(truth, error_scale: Optional[float]):
+    """Max-norm error function over a list of per-node estimates."""
+    truth_vec, scale = _truth_and_scale(truth, error_scale)
 
     def error_of(estimates) -> float:
         worst = 0.0
@@ -372,22 +378,3 @@ def _make_error_fn(truth, error_scale: Optional[float]):
         return worst / scale
 
     return error_of
-
-
-class _StallTracker:
-    """Detects an error plateau: no improvement for ``window`` rounds."""
-
-    def __init__(self, window: Optional[int]) -> None:
-        self._window = window
-        self._best = float("inf")
-        self._since_improvement = 0
-
-    def stalled(self, error: float) -> bool:
-        if self._window is None:
-            return False
-        if error < self._best:
-            self._best = error
-            self._since_improvement = 0
-            return False
-        self._since_improvement += 1
-        return self._since_improvement >= self._window

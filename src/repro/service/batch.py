@@ -7,16 +7,16 @@ algorithm, node count and value dimension) stack onto one
 program. Correctness is inherited from the batched engine's parity
 guarantee (disjoint-union graph + run-major message assembly keep every
 run's state bit-for-bit identical to running it alone); what this module
-adds is a *vectorized replica of the single-run termination logic* in
-:func:`repro.reduction._run_vector`:
+adds is the single-run stop rule of :func:`repro.reduction._run_vector`,
+applied to R runs at once:
 
 - per-run accuracy oracle ``max|est - truth| / error_scale`` with the
-  same max-then-divide order and the same non-finite → inf guard;
-- per-run stall tracking with ``_StallTracker``'s exact update rule,
-  including the short-circuit (a run that converges on a round never
-  consults — and thus never mutates — its stall state that round);
-- per-run best-error tracking, plus the final re-observation of the
-  frozen state at ``rounds - 1``;
+  same max-then-divide order, a NaN maximum reading as inf;
+- the one stop rule, whose only state is each run's best error and best
+  round (:class:`_BestTrackers`, the R-run form of
+  ``repro.reduction._BestTracker``): a run stops once converged, or
+  stalled ``max(window, 1)`` rounds past its best; the frozen state is
+  re-observed at ``rounds - 1``;
 - per-run round caps via :attr:`BatchedRun.max_rounds`, so jobs with
   different budgets share a batch without over-running the short ones.
 
@@ -139,7 +139,6 @@ def _execute_vector_batch(
     scales = np.empty(n_runs)
     epsilons = np.empty(n_runs)
     caps = np.empty(n_runs, dtype=np.int64)
-    windows = np.empty(n_runs, dtype=np.int64)  # -1 = stall tracking off
     scalar_inputs: List[bool] = []
     aggregates: List[str] = []
     for i, req in enumerate(requests):
@@ -164,7 +163,6 @@ def _execute_vector_batch(
             if req.max_rounds is not None
             else default_round_cap(n, req.epsilon)
         )
-        windows[i] = -1 if req.stall_rounds is None else int(req.stall_rounds)
         scalar_inputs.append(req.scalar_input)
         aggregates.append(req.aggregate)
         runs.append(
@@ -182,40 +180,24 @@ def _execute_vector_batch(
     engine = BatchedEngine(
         requests[0].algorithm, runs, backend=kernel_backend
     )
-    truth_mat = np.stack(truth_rows)  # (R, d)
-
-    # Vectorized _StallTracker / _BestTracker state, one slot per run.
-    stall_best = np.full(n_runs, np.inf)
-    stall_since = np.zeros(n_runs, dtype=np.int64)
-    best_error = np.full(n_runs, np.inf)
-    best_round = np.full(n_runs, -1, dtype=np.int64)
+    # Each run's truth repeated over its nodes: the subtraction below
+    # then runs over equal shapes instead of broadcasting.
+    truth_full = np.repeat(np.stack(truth_rows)[:, None, :], n, axis=1)
+    best = _BestTrackers([req.stall_rounds for req in requests])
 
     def run_errors() -> np.ndarray:
         est = engine.round_estimates().estimates  # (R, n, d), shared
-        finite = np.isfinite(est).all(axis=(1, 2))
         with np.errstate(invalid="ignore"):
             # Max over the run's (n, d) block first, then one divide by
             # the run scale — the same operation order as vec_error.
-            diff = np.abs(est - truth_mat[:, None, :]).max(axis=(1, 2))
-        return np.where(finite, diff / scales, np.inf)
+            diff = np.abs(est - truth_full).max(axis=(1, 2))
+        return np.where(np.isnan(diff), np.inf, diff / scales)
 
     def stop(eng: BatchedEngine, round_index: int) -> np.ndarray:
         active = eng.last_round_active
         err = run_errors()
-        improved = active & (err < best_error)
-        best_error[improved] = err[improved]
-        best_round[improved] = round_index
-        converged = err <= epsilons
-        # _StallTracker parity, including the `or` short-circuit: a run
-        # that converged this round does not touch its stall state.
-        tracked = active & ~converged & (windows >= 0)
-        better = tracked & (err < stall_best)
-        stall_best[better] = err[better]
-        stall_since[better] = 0
-        worse = tracked & ~better
-        stall_since[worse] += 1
-        stalled = worse & (stall_since >= np.maximum(windows, 1))
-        return active & (converged | stalled)
+        stalled = best.observe(err, round_index, active)
+        return active & (stalled | (err <= epsilons))
 
     engine.run(int(caps.max()), stop_when=stop, check_every=1)
 
@@ -223,9 +205,7 @@ def _execute_vector_batch(
     est_all = engine.estimates()
     final_error = run_errors()
     # _run_vector re-observes the frozen state at rounds - 1.
-    improved = final_error < best_error
-    best_error[improved] = final_error[improved]
-    best_round[improved] = rounds[improved] - 1
+    best.observe(final_error, rounds - 1, np.ones(n_runs, dtype=bool))
     converged = final_error <= epsilons
     sent = engine.messages_sent
     delivered = engine.messages_delivered
@@ -250,10 +230,33 @@ def _execute_vector_batch(
                 messages_delivered=int(delivered[i]),
                 converged=bool(converged[i]),
                 max_error=float(final_error[i]),
-                best_error=float(best_error[i]),
-                best_round=int(best_round[i]),
+                best_error=float(best.error[i]),
+                best_round=int(best.round[i]),
                 engine="batched",
                 batched_with=n_runs,
             )
         )
     return results
+
+
+class _BestTrackers:
+    """R runs' :class:`repro.reduction._BestTracker`: each run's best error
+    and best round, and the same stall rule (a None window never stalls)."""
+
+    def __init__(self, windows: Sequence[Optional[int]]) -> None:
+        self.error = np.full(len(windows), np.inf)
+        self.round = np.full(len(windows), -1, dtype=np.int64)
+        never = np.iinfo(np.int64).max
+        self._gap = np.array(
+            [never if w is None else max(int(w), 1) for w in windows]
+        )
+
+    def observe(
+        self, error: np.ndarray, round_index, active: np.ndarray
+    ) -> np.ndarray:
+        """Record the active runs' errors at ``round_index`` (a scalar or
+        one round per run); returns the stalled mask."""
+        improved = active & (error < self.error)
+        np.copyto(self.error, error, where=improved)
+        np.copyto(self.round, round_index, where=improved)
+        return active & (round_index - self.round >= self._gap)

@@ -368,8 +368,10 @@ class SynchronousEngine:
             return
         self._down_edges.discard(edge)
         u, v = edge
+        # A permanently failed link stays dead through any edge_up.
         if not (
-            u in self._dead_nodes
+            edge in self._dead_edges
+            or u in self._dead_nodes
             or v in self._dead_nodes
             or u in self._departed
             or v in self._departed

@@ -21,9 +21,11 @@ the section mapping):
 Probes duck-type over all engines: the object engines expose
 ``algorithms`` (whose flow protocols implement ``max_flow_magnitude`` /
 ``conserved_mass``), the vectorized engines expose array-level
-equivalents (``node_flow_magnitudes`` / ``estimate_pairs``). Engines
-without the relevant state (e.g. push-sum and the flow probe) are
-silently skipped, so a probe can be attached to any run.
+equivalents (``node_flow_magnitudes`` and the shared read-only
+``shared_estimate_pairs``, which the next round's kernel reuses, so a
+sampled round pays for at most one estimate). Engines without the
+relevant state (e.g. push-sum and the flow probe) are silently skipped,
+so a probe can be attached to any run.
 
 Every probe appends plain-dict ``records`` (one per sampled round, with a
 ``type`` tag) and ``violations``; the telemetry session merges these into
@@ -119,6 +121,17 @@ def _live_node_ids(engine: object) -> Optional[frozenset]:
     return frozenset(live()) if live is not None else None
 
 
+def vector_pairs(engine: object) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """A vectorized engine's ``(values, weights)``: its shared read-only
+    pair when it keeps one, else ``estimate_pairs()``; None for the object
+    engines, which keep no arrays."""
+    for name in ("shared_estimate_pairs", "estimate_pairs"):
+        pairs = getattr(engine, name, None)
+        if pairs is not None:
+            return pairs()
+    return None
+
+
 def flow_stats(engine: object) -> Optional[Tuple[float, float, float]]:
     """``(max_flow, mean_flow, flow_weight_ratio)`` for any engine.
 
@@ -131,7 +144,7 @@ def flow_stats(engine: object) -> Optional[Tuple[float, float, float]]:
     node_mags = getattr(engine, "node_flow_magnitudes", None)
     if node_mags is not None:  # vectorized flow engine
         mags = np.asarray(node_mags())
-        _, weights = engine.estimate_pairs()  # type: ignore[attr-defined]
+        _, weights = vector_pairs(engine)  # type: ignore[misc]
         mean_weight = float(np.mean(np.abs(weights)))
     else:
         algorithms = _object_algorithms(engine)
@@ -270,9 +283,9 @@ class MassDriftTracker:
 
     def start(self, engine: object) -> None:
         """Capture the baseline from a freshly constructed engine."""
-        pairs = getattr(engine, "estimate_pairs", None)
+        pairs = vector_pairs(engine)
         if pairs is not None:  # vectorized engine: flows start at zero
-            values, weights = pairs()
+            values, weights = pairs
             self._baseline = (
                 np.sum(np.asarray(values), axis=0),
                 float(np.sum(weights)),
@@ -290,9 +303,9 @@ class MassDriftTracker:
 
     def drift(self, engine: object) -> Optional[float]:
         """Relative deviation from the baseline; inf when non-finite."""
-        pairs = getattr(engine, "estimate_pairs", None)
+        pairs = vector_pairs(engine)
         if pairs is not None:  # vectorized engine
-            values, weights = pairs()
+            values, weights = pairs
             current = (
                 np.sum(np.asarray(values), axis=0),
                 float(np.sum(weights)),

@@ -44,7 +44,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.simulation.observers import Observer
-from repro.telemetry.probes import flow_stats, pcf_stats
+from repro.telemetry.probes import flow_stats, pcf_stats, vector_pairs
 from repro.telemetry.registry import MetricsRegistry
 from repro.telemetry.sampling import RoundSampler, resolve_sampler
 
@@ -55,10 +55,9 @@ if TYPE_CHECKING:  # pragma: no cover
 
 def _live_weight_mass(engine: object) -> Optional[float]:
     """Summed live weight mass, duck-typed over all engines."""
-    pairs = getattr(engine, "estimate_pairs", None)
+    pairs = vector_pairs(engine)
     if pairs is not None:  # vectorized engine
-        _, weights = pairs()
-        return float(np.sum(weights))
+        return float(np.sum(pairs[1]))
     algorithms = getattr(engine, "algorithms", None)
     if algorithms is None:
         return None
@@ -68,14 +67,21 @@ def _live_weight_mass(engine: object) -> Optional[float]:
 
 
 def _estimate_spread(engine: object) -> Optional[float]:
-    """Max-min over live node estimates (inf when any is non-finite)."""
+    """Max-min over live node estimates (inf when any is non-finite).
+
+    A node's estimate is its largest component. The vectorized engines
+    return one ``(n, d)`` array, divided from their shared pair."""
     try:
-        estimates = np.array(
-            [
-                float(np.max(np.atleast_1d(np.asarray(e, dtype=np.float64))))
-                for e in engine.estimates()  # type: ignore[attr-defined]
-            ]
-        )
+        estimates = engine.estimates()  # type: ignore[attr-defined]
+        if isinstance(estimates, np.ndarray):
+            estimates = estimates.max(axis=1)
+        else:
+            estimates = np.array(
+                [
+                    float(np.max(np.atleast_1d(np.asarray(e, dtype=np.float64))))
+                    for e in estimates
+                ]
+            )
     except (AttributeError, TypeError, ValueError):
         return None
     if estimates.size == 0:

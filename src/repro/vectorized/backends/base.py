@@ -1,11 +1,11 @@
 """The kernel-backend contract for the vectorized engines.
 
 A :class:`KernelBackend` owns the *hot inner round* of every vectorized
-algorithm: the fused send/accumulate/estimate update that
+algorithm: the fused send/accumulate update that
 :meth:`repro.vectorized.base.VectorizedEngine._apply_round` runs once per
 round. Everything around the kernel — schedule drawing, loss masking,
-topology arrays, link-failure handling, dynamic-topology deltas,
-observers — stays in the engines and is backend-independent.
+topology arrays, estimates, link-failure handling, dynamic-topology
+deltas, observers — stays in the engines and is backend-independent.
 
 The contract is deliberately data-only: kernels receive plain ``ndarray``
 state (mutated in place) plus the round's message arrays, and return at
@@ -17,9 +17,10 @@ Semantics every backend must honour (the parity suites enforce this
 against the object engine):
 
 - **Phase separation.** All send-side updates happen before any
-  delivery: estimates are a function of the pre-round state, payloads are
-  snapshots taken after the send phase, and receiver updates never feed
-  back into the same round's sends.
+  delivery: the flow kernels receive the pre-round estimate pair
+  ``(est_val, est_w)`` (the engine's read-only shared pair, never
+  written), payloads are snapshots taken after the send phase, and
+  receiver updates never feed back into the same round's sends.
 - **Sender-order accumulation.** Within a round, receiver-side updates
   that can collide (push-sum mass, PCF phi deltas) are applied in
   ascending message order — the order ``np.add.at`` uses and the order
@@ -68,15 +69,16 @@ class KernelBackend(abc.ABC):
         self,
         fval: np.ndarray,  # (n, md, d) in/out
         fw: np.ndarray,  # (n, md) in/out
-        v0: np.ndarray,  # (n, d) initial data (read-only)
-        w0: np.ndarray,  # (n,) initial weights (read-only)
+        est_val: np.ndarray,  # (n, d) pre-round estimate values (read-only)
+        est_w: np.ndarray,  # (n,) pre-round estimate weights (read-only)
         senders: np.ndarray,
         slots: np.ndarray,
         receivers: np.ndarray,
         r_slots: np.ndarray,
         delivered: np.ndarray,
     ) -> None:
-        """One push-flow round, estimate fused in (left-to-right flow sum)."""
+        """One push-flow round: each sender adds half its estimate to the
+        chosen flow, receivers mirror the payload."""
 
     @abc.abstractmethod
     def pcf_round(
@@ -87,8 +89,8 @@ class KernelBackend(abc.ABC):
         r: np.ndarray,  # (n, md) int64 era counters, in/out
         phi_val: np.ndarray,  # (n, d) in/out
         phi_w: np.ndarray,  # (n,) in/out
-        v0: np.ndarray,
-        w0: np.ndarray,
+        est_val: np.ndarray,  # (n, d) pre-round v0 - phi_val (read-only)
+        est_w: np.ndarray,  # (n,) pre-round w0 - phi_w (read-only)
         senders: np.ndarray,
         slots: np.ndarray,
         receivers: np.ndarray,
@@ -108,8 +110,8 @@ class KernelBackend(abc.ABC):
         initiator: np.ndarray,  # (n, md) bool (read-only)
         phi_val: np.ndarray,
         phi_w: np.ndarray,
-        v0: np.ndarray,
-        w0: np.ndarray,
+        est_val: np.ndarray,
+        est_w: np.ndarray,
         senders: np.ndarray,
         slots: np.ndarray,
         receivers: np.ndarray,

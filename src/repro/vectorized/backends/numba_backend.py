@@ -3,13 +3,14 @@
 The kernels here are sequential per-message loops written in
 nopython-compatible style. They implement exactly the semantics of
 :class:`repro.vectorized.backends.numpy_backend.NumpyKernels` — same
-phase separation, same left-to-right flow summation, same ascending
-message order for colliding receiver updates — so in interpreted mode
-(``NumbaKernels(jit=False)``, used when numba is not installed) they are
-*bit-for-bit* identical to the NumPy reference. Under ``@njit`` the only
-permitted deviation is instruction-level rounding (e.g. FMA contraction
-by LLVM), which the close-tolerance parity suite bounds; ``fastmath`` is
-deliberately left off so no reassociation is allowed.
+phase separation, same pre-round estimate pair taken as an argument,
+same ascending message order for colliding receiver updates — so in
+interpreted mode (``NumbaKernels(jit=False)``, used when numba is not
+installed) they are *bit-for-bit* identical to the NumPy reference.
+Under ``@njit`` the only permitted deviation is instruction-level
+rounding (e.g. FMA contraction by LLVM), which the close-tolerance
+parity suite bounds; ``fastmath`` is deliberately left off so no
+reassociation is allowed.
 
 Two parity-relevant scalar details, preserved from the NumPy reference:
 
@@ -72,30 +73,21 @@ def _push_sum_round(val, w, senders, receivers, delivered):
             w[rcv] += half_w[m]
 
 
-def _push_flow_round(fval, fw, v0, w0, senders, slots, receivers, r_slots, delivered):
-    md = fval.shape[1]
+def _push_flow_round(fval, fw, est_val, est_w, senders, slots, receivers, r_slots, delivered):
     d = fval.shape[2]
     k = senders.shape[0]
     sent_val = np.empty((k, d), dtype=fval.dtype)
     sent_w = np.empty(k, dtype=fw.dtype)
-    # Phase 1 + 2: per-sender estimate (left-to-right flow sum), virtual
-    # send, payload snapshot. Sender rows are disjoint, so interleaving
-    # per sender equals compute-all-then-send-all.
+    # Phase 1 + 2: virtual send of half the pre-round estimate, payload
+    # snapshot. Sender rows are disjoint, so interleaving per sender
+    # equals compute-all-then-send-all.
     for m in range(k):
         i = senders[m]
         sl = slots[m]
         for cc in range(d):
-            tot = 0.0
-            for s in range(md):
-                tot += fval[i, s, cc]
-            est = v0[i, cc] - tot
-            fval[i, sl, cc] += est * 0.5
+            fval[i, sl, cc] += est_val[i, cc] * 0.5
             sent_val[m, cc] = fval[i, sl, cc]
-        totw = 0.0
-        for s in range(md):
-            totw += fw[i, s]
-        estw = w0[i] - totw
-        fw[i, sl] += estw * 0.5
+        fw[i, sl] += est_w[i] * 0.5
         sent_w[m] = fw[i, sl]
     # Phase 3: deliveries at unique (receiver, slot) pairs — must run
     # after every snapshot (message crossing writes a slot that another
@@ -110,7 +102,7 @@ def _push_flow_round(fval, fw, v0, w0, senders, slots, receivers, r_slots, deliv
 
 
 def _pcf_round(
-    fval, fw, c, r, phi_val, phi_w, v0, w0, senders, slots, receivers, r_slots, delivered
+    fval, fw, c, r, phi_val, phi_w, est_val, est_w, senders, slots, receivers, r_slots, delivered
 ):
     d = fval.shape[3]
     k = senders.shape[0]
@@ -125,10 +117,10 @@ def _pcf_round(
         sl = slots[m]
         act = c[i, sl]
         for cc in range(d):
-            hv = (v0[i, cc] - phi_val[i, cc]) * 0.5
+            hv = est_val[i, cc] * 0.5
             fval[i, sl, act, cc] += hv
             phi_val[i, cc] += hv
-        hw = (w0[i] - phi_w[i]) * 0.5
+        hw = est_w[i] * 0.5
         fw[i, sl, act] += hw
         phi_w[i] += hw
         for sslot in range(2):
@@ -224,8 +216,8 @@ def _pcf_hardened_round(
     initiator,
     phi_val,
     phi_w,
-    v0,
-    w0,
+    est_val,
+    est_w,
     senders,
     slots,
     receivers,
@@ -246,10 +238,10 @@ def _pcf_hardened_round(
         sl = slots[m]
         act = r[i, sl] % 2
         for cc in range(d):
-            hv = (v0[i, cc] - phi_val[i, cc]) * 0.5
+            hv = est_val[i, cc] * 0.5
             fval[i, sl, act, cc] += hv
             phi_val[i, cc] += hv
-        hw = (w0[i] - phi_w[i]) * 0.5
+        hw = est_w[i] * 0.5
         fw[i, sl, act] += hw
         phi_w[i] += hw
         for sslot in range(2):
@@ -397,10 +389,10 @@ class NumbaKernels(KernelBackend):
         self._kernel("push_sum")(val, w, senders, receivers, delivered)
 
     def push_flow_round(
-        self, fval, fw, v0, w0, senders, slots, receivers, r_slots, delivered
+        self, fval, fw, est_val, est_w, senders, slots, receivers, r_slots, delivered
     ) -> None:
         self._kernel("push_flow")(
-            fval, fw, v0, w0, senders, slots, receivers, r_slots, delivered
+            fval, fw, est_val, est_w, senders, slots, receivers, r_slots, delivered
         )
 
     def pcf_round(
@@ -411,8 +403,8 @@ class NumbaKernels(KernelBackend):
         r,
         phi_val,
         phi_w,
-        v0,
-        w0,
+        est_val,
+        est_w,
         senders,
         slots,
         receivers,
@@ -426,8 +418,8 @@ class NumbaKernels(KernelBackend):
             r,
             phi_val,
             phi_w,
-            v0,
-            w0,
+            est_val,
+            est_w,
             senders,
             slots,
             receivers,
@@ -446,8 +438,8 @@ class NumbaKernels(KernelBackend):
         initiator,
         phi_val,
         phi_w,
-        v0,
-        w0,
+        est_val,
+        est_w,
         senders,
         slots,
         receivers,
@@ -463,8 +455,8 @@ class NumbaKernels(KernelBackend):
             initiator,
             phi_val,
             phi_w,
-            v0,
-            w0,
+            est_val,
+            est_w,
             senders,
             slots,
             receivers,

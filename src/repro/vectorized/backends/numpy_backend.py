@@ -4,10 +4,11 @@ These are the correctness reference: bit-for-bit identical to the object
 engine under scripted schedules (the engine parity suites assert this),
 and the baseline every other backend is compared against.
 
-Operation-order notes mirror :mod:`repro.vectorized.engines`: flow sums
-accumulate left-to-right over sorted-neighbor slots, colliding receiver
-updates go through ``np.add.at`` in ascending message order, and padded
-slots hold exact zeros so they cannot perturb rounding.
+Operation-order notes mirror :mod:`repro.vectorized.engines`: colliding
+receiver updates go through ``np.add.at`` in ascending message order, and
+padded slots hold exact zeros so they cannot perturb rounding. The flow
+kernels take the pre-round estimate pair as an argument (the engine's
+shared pair), so no kernel computes an estimate.
 
 Per-edge state is addressed by *flat edge id*. Slot ``s`` of node ``i``
 is edge ``i * max_degree + s`` of the raveled ``(n * max_degree, ...)``
@@ -75,15 +76,13 @@ def _add_rows_at(target: np.ndarray, rows: np.ndarray, deltas: np.ndarray) -> No
     np.add.at(target.reshape(-1), idx, deltas.reshape(-1))
 
 
-def _send_halves(v0, w0, phi_val, phi_w, senders):
+def _send_halves(est_val, est_w, phi_val, phi_w, senders):
     """PCF's virtual-send bookkeeping: each sender's half estimate
-    ``(v0 - phi) * 0.5``, which is also added to its phi.
+    ``est * 0.5``, which is also added to its phi.
 
     Senders are strictly ascending, so a round in which every node sends
     has ``senders == arange(n)`` and needs no gather or scatter.
     """
-    est_val = v0 - phi_val
-    est_w = w0 - phi_w
     if len(senders) == len(phi_w):
         half_val = est_val * 0.5
         half_w = est_w * 0.5
@@ -120,35 +119,23 @@ class NumpyKernels(KernelBackend):
         _add_rows_at(val, receivers, half_val)
         np.add.at(w, receivers, half_w)
 
-    @staticmethod
-    def _flow_totals(fval, fw) -> Tuple[np.ndarray, np.ndarray]:
-        # Accumulate the flow sum left-to-right over sorted-neighbor slots
-        # — the object engine's rounding order.
-        total_val = np.zeros(fval.shape[::2], dtype=fval.dtype)
-        total_w = np.zeros(fw.shape[0], dtype=fw.dtype)
-        for s in range(fval.shape[1]):
-            total_val += fval[:, s]
-            total_w += fw[:, s]
-        return total_val, total_w
-
     def push_flow_round(
-        self, fval, fw, v0, w0, senders, slots, receivers, r_slots, delivered
+        self, fval, fw, est_val, est_w, senders, slots, receivers, r_slots, delivered
     ) -> None:
         _require_contiguous(fval, fw)
         md, d = fval.shape[1], fval.shape[2]
         fv = fval.reshape(-1, d)  # row = edge
         fvr = _rows(fv)
         fwf = fw.reshape(-1)
-        # Estimate fused in: est = v0 - sum(flows), then one PF round.
-        total_val, total_w = self._flow_totals(fval, fw)
-        est_val = v0 - total_val
-        est_w = w0 - total_w
 
         # Phase 1: virtual sends (sender slots are unique per round); the
-        # updated flows are also the physical payloads.
+        # updated flows are also the physical payloads. When every node
+        # sends, senders == arange(n) and the estimate needs no gather.
         edge = senders * md + slots
-        sent_val = np.take(fv, edge, axis=0) + np.take(est_val, senders, axis=0) * 0.5
-        sent_w = fwf[edge] + est_w[senders] * 0.5
+        if len(senders) != len(est_w):
+            est_val, est_w = np.take(est_val, senders, axis=0), est_w[senders]
+        sent_val = np.take(fv, edge, axis=0) + est_val * 0.5
+        sent_w = fwf[edge] + est_w * 0.5
         fvr[edge] = _rows(sent_val)
         fwf[edge] = sent_w
 
@@ -170,8 +157,8 @@ class NumpyKernels(KernelBackend):
         r,
         phi_val,
         phi_w,
-        v0,
-        w0,
+        est_val,
+        est_w,
         senders,
         slots,
         receivers,
@@ -179,7 +166,7 @@ class NumpyKernels(KernelBackend):
         delivered,
     ) -> Tuple[int, int]:
         _require_contiguous(fval, fw, c, r, phi_val, phi_w)
-        md, d = c.shape[1], v0.shape[1]
+        md, d = c.shape[1], phi_val.shape[1]
         fv = fval.reshape(-1, d)  # row = edge * 2 + role
         fvr = _rows(fv)
         fwf = fw.reshape(-1)
@@ -192,7 +179,7 @@ class NumpyKernels(KernelBackend):
         # arithmetic runs through NumPy's buffered iterator, whose cast
         # buffers raise the process's peak memory.
         act = edge * 2 + cf[edge].astype(np.int64)
-        half_val, half_w = _send_halves(v0, w0, phi_val, phi_w, senders)
+        half_val, half_w = _send_halves(est_val, est_w, phi_val, phi_w, senders)
         fvr[act] = _rows(np.take(fv, act, axis=0) + half_val)
         fwf[act] += half_w
 
@@ -298,8 +285,8 @@ class NumpyKernels(KernelBackend):
         initiator,
         phi_val,
         phi_w,
-        v0,
-        w0,
+        est_val,
+        est_w,
         senders,
         slots,
         receivers,
@@ -307,7 +294,7 @@ class NumpyKernels(KernelBackend):
         delivered,
     ) -> Tuple[int, int]:
         _require_contiguous(fval, fw, r, frozen_val, frozen_w, phi_val, phi_w)
-        md, d = r.shape[1], v0.shape[1]
+        md, d = r.shape[1], phi_val.shape[1]
         fv = fval.reshape(-1, d)  # row = edge * 2 + role
         fvr = _rows(fv)
         fwf = fw.reshape(-1)
@@ -318,7 +305,7 @@ class NumpyKernels(KernelBackend):
         # Phase 1: virtual sends into the era-derived active slot.
         edge = senders * md + slots
         act = edge * 2 + rf[edge] % 2
-        half_val, half_w = _send_halves(v0, w0, phi_val, phi_w, senders)
+        half_val, half_w = _send_halves(est_val, est_w, phi_val, phi_w, senders)
         fvr[act] = _rows(np.take(fv, act, axis=0) + half_val)
         fwf[act] += half_w
 

@@ -101,6 +101,15 @@ class VectorizedEngine(abc.ABC):
         self._scripted_targets = targets
         self._slot_lookup: Optional[Tuple[np.ndarray, int]] = None
         self._receiver_table: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        # Every full round sends from all nodes, loss-free ones deliver all.
+        self._all_senders = np.arange(n)
+        self._all_delivered = np.ones(n, dtype=bool)
+        self._all_senders.setflags(write=False)
+        self._all_delivered.setflags(write=False)
+        # Bumped by every mutation of protocol state: the kernel round,
+        # _zero_failed_links and _reset_nodes. It keys the shared pair.
+        self._state_version = 0
+        self._shared_pair: Optional[Tuple[int, np.ndarray, np.ndarray]] = None
 
     # ------------------------------------------------------------------
     # Introspection
@@ -147,7 +156,8 @@ class VectorizedEngine(abc.ABC):
     # ------------------------------------------------------------------
     @abc.abstractmethod
     def estimate_pairs(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Current ``(values (n, d), weights (n,))`` estimate pairs."""
+        """Current ``(values (n, d), weights (n,))`` estimate pairs, freshly
+        computed into arrays the caller owns."""
 
     @abc.abstractmethod
     def _apply_round(
@@ -157,15 +167,31 @@ class VectorizedEngine(abc.ABC):
 
         ``delivered[k]`` is False when the transport dropped message ``k``;
         the *send-side* bookkeeping must still happen (the virtual send
-        precedes the physical one).
+        precedes the physical one). Like every state mutation, it bumps
+        ``_state_version``; flow kernels read the pre-round shared pair.
         """
 
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
+    def shared_estimate_pairs(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The current estimate pair, computed once per state version.
+
+        The arrays are read-only and shared: the stop rule, the probes and
+        the next round's kernel (which takes the pre-round pair) all read
+        this one copy, so a round pays for at most one estimate.
+        """
+        cached = self._shared_pair
+        if cached is None or cached[0] != self._state_version:
+            values, weights = self.estimate_pairs()
+            values.setflags(write=False)
+            weights.setflags(write=False)
+            cached = self._shared_pair = (self._state_version, values, weights)
+        return cached[1], cached[2]
+
     def estimates(self) -> np.ndarray:
         """Per-node aggregate estimates, shape (n, d)."""
-        values, weights = self.estimate_pairs()
+        values, weights = self.shared_estimate_pairs()
         with np.errstate(divide="ignore", invalid="ignore"):
             return values / weights[:, None]
 
@@ -182,7 +208,7 @@ class VectorizedEngine(abc.ABC):
         detailed = observed and self._observer.wants_detail(self._round)
         t0 = time.perf_counter() if detailed else 0.0
         n = self._arrays.n
-        senders = np.arange(n)
+        senders = self._all_senders
         if self._scripted_targets is not None:
             if self._round >= len(self._scripted_targets):
                 raise ConfigurationError(
@@ -193,17 +219,18 @@ class VectorizedEngine(abc.ABC):
             senders = senders[active]
             slots = self._slots_for_targets(senders, target_nodes[active])
         else:
-            # Native fast schedule: one uniform draw per node per round.
+            # Native fast schedule: one uniform draw per node per round;
+            # draws * degree >= 0, so truncation is the floor.
             draws = self._rng.random(n)
-            slots = np.floor(draws * self._arrays.degree).astype(np.int64)
-
-        if self._loss > 0.0:
-            delivered = self._rng.random(len(senders)) >= self._loss
-        else:
-            delivered = np.ones(len(senders), dtype=bool)
+            slots = (draws * self._arrays.degree).astype(np.int64)
 
         sent = len(senders)
-        delivered_count = int(delivered.sum())
+        if self._loss > 0.0:
+            delivered = self._rng.random(sent) >= self._loss
+            delivered_count = int(np.count_nonzero(delivered))
+        else:
+            delivered = self._all_delivered[:sent]
+            delivered_count = sent
         self._messages_sent += sent
         self._messages_delivered += delivered_count
         if detailed:

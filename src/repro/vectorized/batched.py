@@ -303,7 +303,7 @@ class BatchedEngine:
         self._messages_delivered = np.zeros(self._runs, dtype=np.int64)
         self._last_active = np.zeros(self._runs, dtype=bool)
         self._shared: Optional[RoundEstimates] = None
-        self._shared_round = -1  # round of the cached estimates
+        self._shared_key = (-1, -1)  # (round, engine state version) cached
 
     # ------------------------------------------------------------------
     # Introspection
@@ -360,11 +360,14 @@ class BatchedEngine:
     def round_estimates(self) -> RoundEstimates:
         """This round's estimates, computed once and shared read-only.
 
-        The batch observers and stop rules of one round all read this one
-        copy; it is recomputed after the next :meth:`step`.
+        Built on the stacked engine's shared pair, which the next round's
+        kernel reads too. The batch observers and stop rules of one round
+        all read this one copy; a step, a delta or a handled link failure
+        invalidates it.
         """
-        if self._shared_round != self._round:
-            values, weights = self._engine.estimate_pairs()
+        key = (self._round, self._engine._state_version)
+        if self._shared_key != key:
+            values, weights = self._engine.shared_estimate_pairs()
             with np.errstate(divide="ignore", invalid="ignore"):
                 estimates = values / weights[:, None]
             runs, n, d = self._runs, self._n, self._d
@@ -376,7 +379,7 @@ class BatchedEngine:
             )
             for part in self._shared:
                 part.setflags(write=False)
-            self._shared_round = self._round
+            self._shared_key = key
         return self._shared
 
     def estimate_pairs(self) -> Tuple[np.ndarray, np.ndarray]:

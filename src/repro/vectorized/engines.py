@@ -5,16 +5,19 @@ counterpart (:mod:`repro.algorithms`): the hot per-round update is
 delegated to the engine's kernel backend
 (:mod:`repro.vectorized.backends`, selected via the ``backend`` keyword),
 whose NumPy reference keeps the floating-point operation *order*
-identical to the object engine — left-to-right flow summation,
-per-message combined phi deltas applied in sender order via
-``np.add.at`` — so scripted-schedule runs agree bit-for-bit between the
-two engines (verified by the parity tests). Everything else — estimates,
-flow diagnostics, link-failure and churn state transitions — stays here
-and is backend-independent.
+identical to the object engine — per-message combined phi deltas applied
+in sender order via ``np.add.at`` — so scripted-schedule runs agree
+bit-for-bit between the two engines (verified by the parity tests). The
+kernels take the pre-round estimate pair from
+:meth:`~repro.vectorized.base.VectorizedEngine.shared_estimate_pairs`.
+Everything else — estimates (PF's left-to-right flow sum lives only in
+:meth:`VectorPushFlow.estimate_pairs`), flow diagnostics, link-failure and
+churn state transitions — stays here and is backend-independent.
 """
 
 from __future__ import annotations
 
+import abc
 from typing import Tuple
 
 import numpy as np
@@ -36,17 +39,39 @@ class VectorPushSum(VectorizedEngine):
     def _reset_nodes(self, nodes) -> None:
         # Rejoin with the initial mass; whatever mass the node carried away
         # at departure is gone — push-sum's churn fragility.
+        self._state_version += 1
         self._val[nodes] = self._v0[nodes]
         self._w[nodes] = self._w0[nodes]
 
     def _apply_round(self, senders, slots, delivered) -> None:
+        self._state_version += 1
         receivers, _ = self._receiver_indices(senders, slots)
         self._kernels.push_sum_round(
             self._val, self._w, senders, receivers, delivered
         )
 
 
-class VectorPushFlow(VectorizedEngine):
+class _FlowEngine(VectorizedEngine):
+    """Flow diagnostics of the engines that keep flows per edge slot."""
+
+    def max_flow_magnitude(self) -> float:
+        """Largest flow magnitude — grows with n under PF (the blow-up
+        diagnostic), stays O(estimate) under PCF's cancellation."""
+        return max(
+            float(np.max(np.abs(self._fval))) if self._fval.size else 0.0,
+            float(np.max(np.abs(self._fw))) if self._fw.size else 0.0,
+        )
+
+    def node_flow_magnitudes(self) -> np.ndarray:
+        """Per-node largest flow magnitude, shape (n,) — probe input."""
+        if not self._fval.size:
+            return np.zeros(self.n)
+        per_val = np.abs(self._fval).reshape(self.n, -1).max(axis=1)
+        per_w = np.abs(self._fw).reshape(self.n, -1).max(axis=1)
+        return np.maximum(per_val, per_w)
+
+
+class VectorPushFlow(_FlowEngine):
     """Vectorized push-flow, ``recompute`` variant (Fig. 1 semantics)."""
 
     def __init__(self, topology, values, weights, **kwargs) -> None:
@@ -67,41 +92,28 @@ class VectorPushFlow(VectorizedEngine):
             total_w += self._fw[:, s]
         return self._v0 - total_val, self._w0 - total_w
 
-    def max_flow_magnitude(self) -> float:
-        """Largest flow magnitude — PF's n-dependent blow-up diagnostic."""
-        return max(
-            float(np.max(np.abs(self._fval))) if self._fval.size else 0.0,
-            float(np.max(np.abs(self._fw))) if self._fw.size else 0.0,
-        )
-
-    def node_flow_magnitudes(self) -> np.ndarray:
-        """Per-node largest flow magnitude, shape (n,) — probe input."""
-        if not self._fval.size:
-            return np.zeros(self.n)
-        per_val = np.max(np.abs(self._fval), axis=(1, 2))
-        per_w = np.max(np.abs(self._fw), axis=1)
-        return np.maximum(per_val, per_w)
-
     def _zero_failed_links(self, nodes, slots) -> None:
         # Object PF (recompute) drops the edge's flow record entirely, which
         # is equivalent to an exact-zero flow on that slot.
+        self._state_version += 1
         self._fval[nodes, slots] = 0.0
         self._fw[nodes, slots] = 0.0
 
     def _reset_nodes(self, nodes) -> None:
         # Fresh zero flows; the estimate reverts to the initial data.
+        self._state_version += 1
         self._fval[nodes] = 0.0
         self._fw[nodes] = 0.0
 
     def _apply_round(self, senders, slots, delivered) -> None:
-        # The estimate is fused into the kernel (it recomputes the same
-        # left-to-right flow sum as estimate_pairs).
+        est_val, est_w = self.shared_estimate_pairs()
+        self._state_version += 1
         receivers, r_slots = self._receiver_indices(senders, slots)
         self._kernels.push_flow_round(
             self._fval,
             self._fw,
-            self._v0,
-            self._w0,
+            est_val,
+            est_w,
             senders,
             slots,
             receivers,
@@ -110,44 +122,32 @@ class VectorPushFlow(VectorizedEngine):
         )
 
 
-class VectorPushCancelFlow(VectorizedEngine):
-    """Vectorized push-cancel-flow, ``efficient`` variant (Fig. 5 semantics)."""
+class CancelFlowEngine(_FlowEngine):
+    """State shared by the two push-cancel-flow engines (``efficient`` phi
+    bookkeeping): two flow copies per edge, era counters and phi."""
 
     def __init__(self, topology, values, weights, **kwargs) -> None:
         super().__init__(topology, values, weights, **kwargs)
         n, md, d = self.n, self._arrays.max_degree, self._d
         self._fval = np.zeros((n, md, 2, d))
         self._fw = np.zeros((n, md, 2))
-        self._c = np.zeros((n, md), dtype=np.int8)
         self._r = np.zeros((n, md), dtype=np.int64)
         self._phi_val = np.zeros((n, d))
         self._phi_w = np.zeros(n)
         self.cancellations = 0
-        self.swaps = 0
 
     def estimate_pairs(self) -> Tuple[np.ndarray, np.ndarray]:
         return self._v0 - self._phi_val, self._w0 - self._phi_w
 
-    def max_flow_magnitude(self) -> float:
-        """Largest flow magnitude — stays O(estimate) thanks to cancellation."""
-        return max(
-            float(np.max(np.abs(self._fval))) if self._fval.size else 0.0,
-            float(np.max(np.abs(self._fw))) if self._fw.size else 0.0,
-        )
-
-    def node_flow_magnitudes(self) -> np.ndarray:
-        """Per-node largest flow magnitude, shape (n,) — probe input."""
-        if not self._fval.size:
-            return np.zeros(self.n)
-        per_val = np.max(np.abs(self._fval), axis=(1, 2, 3))
-        per_w = np.max(np.abs(self._fw), axis=(1, 2))
-        return np.maximum(per_val, per_w)
+    @abc.abstractmethod
+    def _passive_roles(self) -> np.ndarray:
+        """Per-slot index (0 or 1) of the passive flow copy."""
 
     def passive_flow_magnitude(self) -> float:
         """Largest *passive*-slot flow magnitude — cancellation progress."""
         if not self._fval.size:
             return 0.0
-        passive = (1 - self._c).astype(np.int64)
+        passive = self._passive_roles().astype(np.int64)
         p_val = np.take_along_axis(
             self._fval, passive[:, :, None, None], axis=2
         )
@@ -162,26 +162,48 @@ class VectorPushCancelFlow(VectorizedEngine):
         # Object PCF (efficient) folds the edge's total flow back out of phi
         # (phi = phi - (flow[0] + flow[1])) before dropping the edge state;
         # a node losing several edges subtracts them in the given order.
+        self._state_version += 1
         total_val = self._fval[nodes, slots, 0] + self._fval[nodes, slots, 1]
         total_w = self._fw[nodes, slots, 0] + self._fw[nodes, slots, 1]
         np.subtract.at(self._phi_val, nodes, total_val)
         np.subtract.at(self._phi_w, nodes, total_w)
         self._fval[nodes, slots] = 0.0
         self._fw[nodes, slots] = 0.0
-        self._c[nodes, slots] = 0
         self._r[nodes, slots] = 0
 
     def _reset_nodes(self, nodes) -> None:
-        # Fresh zero flows, handshake state and phi — same as the object
-        # algorithm's reset_for_join.
+        # Fresh zero flows, eras and phi — same as the object algorithms'
+        # reset_for_join.
+        self._state_version += 1
         self._fval[nodes] = 0.0
         self._fw[nodes] = 0.0
-        self._c[nodes] = 0
         self._r[nodes] = 0
         self._phi_val[nodes] = 0.0
         self._phi_w[nodes] = 0.0
 
+
+class VectorPushCancelFlow(CancelFlowEngine):
+    """Vectorized push-cancel-flow, ``efficient`` variant (Fig. 5 semantics)."""
+
+    def __init__(self, topology, values, weights, **kwargs) -> None:
+        super().__init__(topology, values, weights, **kwargs)
+        self._c = np.zeros((self.n, self._arrays.max_degree), dtype=np.int8)
+        self.swaps = 0
+
+    def _passive_roles(self) -> np.ndarray:
+        return 1 - self._c
+
+    def _zero_failed_links(self, nodes, slots) -> None:
+        super()._zero_failed_links(nodes, slots)
+        self._c[nodes, slots] = 0
+
+    def _reset_nodes(self, nodes) -> None:
+        super()._reset_nodes(nodes)
+        self._c[nodes] = 0
+
     def _apply_round(self, senders, slots, delivered) -> None:
+        est_val, est_w = self.shared_estimate_pairs()
+        self._state_version += 1
         receivers, r_slots = self._receiver_indices(senders, slots)
         cancels, swaps = self._kernels.pcf_round(
             self._fval,
@@ -190,8 +212,8 @@ class VectorPushCancelFlow(VectorizedEngine):
             self._r,
             self._phi_val,
             self._phi_w,
-            self._v0,
-            self._w0,
+            est_val,
+            est_w,
             senders,
             slots,
             receivers,

@@ -226,6 +226,24 @@ def _undetected_failure(node, events):
     return build
 
 
+def _failed_edge_up(up_round):
+    # Edge (0, 1) goes down at round 5, the link fails permanently at
+    # round 8 (detected at 18), and the edge_up arrives at ``up_round``:
+    # a failed link stays dead through any edge_up.
+    def build():
+        topo = hypercube(4)
+        schedule = TopologySchedule(
+            [
+                TopologyDelta(5, "edge_down", edge=(0, 1)),
+                TopologyDelta(up_round, "edge_up", edge=(0, 1)),
+            ]
+        )
+        failure = LinkFailure(round=8, u=0, v=1, detection_delay=10)
+        return topo, schedule, [failure]
+
+    return build
+
+
 DYNAMIC_SCENARIOS = {
     "partition-heal": lambda: (
         hypercube(5),
@@ -259,6 +277,8 @@ DYNAMIC_SCENARIOS = {
     "undetected-failure-rejoin-1": _undetected_failure(
         1, [(13, "leave"), (17, "join")]
     ),
+    "failed-edge-up-before-detection": _failed_edge_up(12),
+    "failed-edge-up-after-handling": _failed_edge_up(25),
 }
 
 
