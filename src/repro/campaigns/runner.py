@@ -36,10 +36,8 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import multiprocessing
 import os
 import pathlib
-import sys
 import time
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
@@ -68,6 +66,8 @@ from repro.simulation.schedule import UniformGossipSchedule
 from repro.telemetry.probes import MassConservationProbe
 from repro.telemetry.registry import MetricsRegistry
 from repro.topology import registry as topology_registry
+from repro.util import procs
+from repro.util.procs import mp_context as _mp_context
 
 _MASS_TOLERANCE = 1e-6
 
@@ -612,8 +612,8 @@ def _execute_cells_batched(
         )
     # One snapshot for the whole group, riding on its last record: the
     # parent merges it exactly once per successful attempt, whether the
-    # group ran in-process or in a worker (shm/pipe transport is JSON,
-    # and the snapshot is a plain JSON-able dict).
+    # group ran in-process or in a worker (whose records, snapshot
+    # included, come home pickled on the attempt's pipe).
     records[-1]["_metrics_snapshot"] = registry.snapshot()
     return records
 
@@ -702,435 +702,127 @@ def _append_record(path: pathlib.Path, record: Dict[str, object]) -> None:
         fh.flush()
 
 
-def _mp_context(start_method: Optional[str] = None):
-    """Explicit multiprocessing context selection.
-
-    The start method used to be chosen as fork-if-available, which made
-    the execution model platform-implicit (and silently picked ``fork``
-    on macOS, where forking a threaded Python is unsafe). Now the choice
-    is explicit: ``fork`` on Linux (cheap, inherits the imported NumPy),
-    ``spawn`` everywhere else. Pass ``start_method`` to force one — e.g.
-    ``spawn`` on Linux to mirror macOS/Windows behavior in tests.
-    """
-    if start_method is None:
-        start_method = "fork" if sys.platform.startswith("linux") else "spawn"
-    available = multiprocessing.get_all_start_methods()
-    if start_method not in available:
-        raise ConfigurationError(
-            f"multiprocessing start method {start_method!r} is not "
-            f"available on this platform; available: {available}"
-        )
-    return multiprocessing.get_context(start_method)
-
-
-def _worker_entry(cell: Dict[str, object], result_conn) -> None:
-    """Subprocess body: run the cell, ship the outcome (or the error) home."""
-    try:
-        result_conn.send(execute_cell(cell))
-    except Exception as exc:  # noqa: BLE001 - forwarded to the parent
-        result_conn.send(
-            {
-                "cell_id": cell["cell_id"],
-                "status": "worker_error",
-                "error": f"{type(exc).__name__}: {exc}",
-            }
-        )
-
-
-@dataclasses.dataclass
-class _Attempt:
-    cell: Dict[str, object]
-    attempt: int  # 1-based
-    process: object = None
-    reader: object = None
-    deadline: Optional[float] = None
-
-
-def _start(ctx, item, target, *args) -> None:
-    """Fork/spawn one attempt with a one-way pipe for its outcome."""
-    item.reader, writer = ctx.Pipe(duplex=False)
-    item.process = ctx.Process(target=target, args=(*args, writer), daemon=True)
-    item.process.start()
-    writer.close()  # the worker holds the only write end now
-
-
-def _wait_any(running: list) -> None:
-    """Block until an attempt reports, exits or reaches the nearest deadline."""
-    from multiprocessing import connection
-
-    deadlines = [item.deadline for item in running if item.deadline is not None]
-    timeout = (
-        max(0.0, min(deadlines) - time.monotonic()) if deadlines else None
-    )
-    connection.wait(
-        [item.reader for item in running]
-        + [item.process.sentinel for item in running],
-        timeout,
-    )
-
-
-def _outcome(item) -> Tuple[str, object]:
-    """One attempt's state: ("result", payload), ("crashed", exit code),
-    ("timeout", None) or ("running", None).
-
-    A landed result wins over an expired deadline (the work is done either
-    way), and liveness is sampled before the pipe so a worker that reported
-    and exited is never mistaken for a crash. Finished attempts are joined
-    (a timed-out one terminated first) and their pipe closed.
-    """
-    proc = item.process
-    alive = proc.is_alive()
-    state: Tuple[str, object]
-    if item.reader.poll():
-        try:
-            state = ("result", item.reader.recv())
-        except EOFError:  # died before (or while) reporting
-            state = ("crashed", None)
-    elif not alive:
-        state = ("crashed", None)
-    elif item.deadline is not None and time.monotonic() > item.deadline:
-        proc.terminate()
-        state = ("timeout", None)
-    else:
-        return ("running", None)
-    proc.join()
-    item.reader.close()
-    if state[0] == "crashed":
-        state = ("crashed", proc.exitcode)
-    return state
-
-
-def _run_serial(
-    pending: List[Dict[str, object]],
-    retries: int,
-    on_record: Callable[[Dict[str, object]], None],
-    executor: Callable[[Dict[str, object]], Dict[str, object]],
-) -> Dict[str, int]:
-    stats = {"ok": 0, "failed": 0, "retries_used": 0}
-    for cell in pending:
-        last_error = "unknown"
-        record: Optional[Dict[str, object]] = None
-        for attempt in range(1, retries + 2):
-            if attempt > 1:
-                stats["retries_used"] += 1
-            try:
-                record = executor(cell)
-                record["attempts"] = attempt
-                break
-            except Exception as exc:  # noqa: BLE001 - accounted as a failed attempt
-                last_error = f"{type(exc).__name__}: {exc}"
-                record = None
-        if record is None:
-            record = _failure_record(cell, retries + 1, last_error)
-            stats["failed"] += 1
-        else:
-            stats["ok"] += 1
-        on_record(record)
-    return stats
-
-
-def _run_batched(
-    pending: List[Dict[str, object]],
-    retries: int,
-    on_record: Callable[[Dict[str, object]], None],
-) -> Dict[str, int]:
-    """Serial batched execution: one whole-array program per cell group.
-
-    Pending cells are grouped by (algorithm, topology) — the run keys
-    (rounds, epsilon, aggregate, data) are campaign-wide already — and
-    each group executes as a single :class:`BatchedEngine` program. A
-    failing group is retried whole; per-cell records land individually,
-    so a partially completed campaign still resumes cell by cell.
-    """
-    stats = {"ok": 0, "failed": 0, "retries_used": 0}
-    groups: Dict[tuple, List[Dict[str, object]]] = {}
-    order: List[tuple] = []
-    for cell in pending:
-        key = (str(cell["algorithm"]), str(cell["topology_label"]))
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(cell)
-    for key in order:
-        cells = groups[key]
-        last_error = "unknown"
-        records: Optional[List[Dict[str, object]]] = None
-        attempts = 0
-        for attempt in range(1, retries + 2):
-            attempts = attempt
-            if attempt > 1:
-                stats["retries_used"] += 1
-            try:
-                records = _execute_cells_batched(cells)
-                break
-            except Exception as exc:  # noqa: BLE001 - accounted per attempt
-                last_error = f"{type(exc).__name__}: {exc}"
-                records = None
-        if records is None:
-            for cell in cells:
-                on_record(_failure_record(cell, retries + 1, last_error))
-            stats["failed"] += len(cells)
-        else:
-            for record in records:
-                record["attempts"] = attempts
-                on_record(record)
-            stats["ok"] += len(cells)
-    return stats
-
-
-def _run_parallel(
-    pending: List[Dict[str, object]],
-    workers: int,
-    timeout: Optional[float],
-    retries: int,
-    on_record: Callable[[Dict[str, object]], None],
-    start_method: Optional[str] = None,
-) -> Dict[str, int]:
-    ctx = _mp_context(start_method)
-    stats = {"ok": 0, "failed": 0, "retries_used": 0}
-    todo: List[_Attempt] = [_Attempt(cell=c, attempt=1) for c in pending]
-    todo.reverse()  # pop() keeps the original submission order
-    running: List[_Attempt] = []
-
-    def settle(item: _Attempt, error: str) -> None:
-        """One attempt failed: requeue it or record the terminal failure."""
-        if item.attempt <= retries:
-            stats["retries_used"] += 1
-            todo.append(_Attempt(cell=item.cell, attempt=item.attempt + 1))
-        else:
-            stats["failed"] += 1
-            on_record(_failure_record(item.cell, item.attempt, error))
-
-    while todo or running:
-        while todo and len(running) < workers:
-            item = todo.pop()
-            _start(ctx, item, _worker_entry, item.cell)
-            item.deadline = (
-                time.monotonic() + timeout if timeout is not None else None
-            )
-            running.append(item)
-
-        _wait_any(running)
-        still_running: List[_Attempt] = []
-        for item in running:
-            state, payload = _outcome(item)
-            if state == "result":
-                record: Dict[str, object] = payload  # type: ignore[assignment]
-                if record.get("status") == "ok":
-                    record["attempts"] = item.attempt
-                    stats["ok"] += 1
-                    on_record(record)
-                else:  # the worker caught an in-run exception
-                    settle(item, str(record.get("error", "worker error")))
-            elif state == "crashed":
-                settle(item, f"worker crashed (exit code {payload})")
-            elif state == "timeout":
-                settle(item, f"timeout after {timeout:g}s")
-            else:
-                still_running.append(item)
-        running = still_running
-    return stats
-
-
-# ----------------------------------------------------------------------
-# Parallel batched groups: one whole-array program per worker process,
-# results shipped home through a parent-owned shared-memory segment.
-# ----------------------------------------------------------------------
-
-#: Per-cell capacity estimate for a group's result payload. Records are
-#: ~1-2 KB of JSON; 8 KB per cell leaves generous headroom, and a group
-#: whose payload still exceeds its segment falls back to the pipe.
-_SHM_BYTES_PER_CELL = 8192
-_SHM_MIN_BYTES = 65536
-
-
-def _attach_shm(name: str):
-    """Child-side attach to the parent-owned result segment.
-
-    Ownership stays with the parent: it created the segment and unlinks
-    it in *every* outcome path (success, worker error, crash, timeout,
-    retry). On Python 3.13+ the child attaches with ``track=False`` so it
-    never becomes co-responsible. Earlier versions register the attach
-    with the resource tracker unconditionally — which is safe here:
-    fork, spawn and forkserver children all inherit the parent's tracker
-    fd, registration is set-idempotent, and the parent's unlink balances
-    the books (the child must NOT unregister, or the parent's later
-    unlink-unregister trips a tracker KeyError).
-    """
-    from multiprocessing import shared_memory
-
-    try:
-        return shared_memory.SharedMemory(name=name, track=False)
-    except TypeError:  # Python <= 3.12: no track parameter
-        return shared_memory.SharedMemory(name=name)
-
-
-def _group_worker_entry(
-    cells: List[Dict[str, object]], shm_name: str, result_conn
-) -> None:
-    """Subprocess body for one batched group.
-
-    Writes the group's records as JSON into the parent's shared-memory
-    segment and signals the payload size on the pipe; oversized payloads
-    fall back to shipping the records inline through the pipe.
-    """
-    try:
-        records = _execute_cells_batched(cells)
-        payload = json.dumps(records).encode()
-        shm = _attach_shm(shm_name)
-        try:
-            if len(payload) <= shm.size:
-                shm.buf[: len(payload)] = payload
-                result_conn.send(("shm", len(payload)))
-            else:
-                result_conn.send(("inline", records))
-        finally:
-            shm.close()
-    except Exception as exc:  # noqa: BLE001 - forwarded to the parent
-        result_conn.send(("error", f"{type(exc).__name__}: {exc}"))
-
-
-@dataclasses.dataclass
-class _GroupAttempt:
-    cells: List[Dict[str, object]]
-    attempt: int  # 1-based
-    process: object = None
-    reader: object = None
-    shm: object = None
-    deadline: Optional[float] = None
-
-
-def _group_pending(
+def _sweep_units(
     pending: List[Dict[str, object]],
 ) -> List[List[Dict[str, object]]]:
-    """Group cells by (algorithm, topology) in first-seen order."""
-    groups: Dict[Tuple[str, str], List[Dict[str, object]]] = {}
-    order: List[Tuple[str, str]] = []
+    """A sweep's units in first-seen order.
+
+    Batched-engine cells group by (algorithm, topology) — the run keys
+    (rounds, epsilon, aggregate, data) are campaign-wide already — and
+    each group runs as one whole-array program; every other cell is a
+    unit of its own.
+    """
+    units: Dict[object, List[Dict[str, object]]] = {}
     for cell in pending:
-        key = (str(cell["algorithm"]), str(cell["topology_label"]))
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(cell)
-    return [groups[key] for key in order]
+        key = (
+            (str(cell["algorithm"]), str(cell["topology_label"]))
+            if cell.get("engine") == "batched"
+            else cell["cell_id"]
+        )
+        units.setdefault(key, []).append(cell)
+    return list(units.values())
 
 
-def _run_parallel_batched(
+def _execute_unit(cells: List[Dict[str, object]]) -> List[Dict[str, object]]:
+    """Run one unit of a sweep: a batched group, or a single cell.
+
+    A module-level function, so a spawn-started worker can unpickle it;
+    it looks up :func:`_execute_cells_batched` and :func:`execute_cell`
+    when called, so a fork-started worker runs what the parent's module
+    holds.
+    """
+    if cells[0].get("engine") == "batched":
+        return _execute_cells_batched(cells)
+    return [execute_cell(cell) for cell in cells]
+
+
+def _run_cells(
     pending: List[Dict[str, object]],
     workers: int,
     timeout: Optional[float],
     retries: int,
     on_record: Callable[[Dict[str, object]], None],
     start_method: Optional[str] = None,
+    executor: Callable[[Dict[str, object]], Dict[str, object]] = execute_cell,
 ) -> Dict[str, int]:
-    """Parallel batched execution: whole (algorithm, topology) groups per
-    worker process, so a multi-group campaign saturates the machine while
-    every group keeps the full whole-array speedup.
+    """Run pending cells through one retry loop over units.
 
-    Result transport is a parent-owned shared-memory segment per running
-    group (created before the worker starts, unlinked by the parent in
-    *every* outcome path — success, worker error, crash, timeout and
-    retry — so no segment outlives its attempt). The per-cell ``timeout``
-    scales with group size: a group of k cells gets ``k * timeout``
-    seconds, preserving per-cell semantics.
+    With ``workers=0`` units run inline, one after another; otherwise up
+    to ``workers`` run at once, each attempt in a worker process of its
+    own (:mod:`repro.util.procs`), bounded by ``timeout`` seconds per
+    cell of the unit. A failed attempt is retried at once, up to
+    ``retries`` times, and then every cell of the unit is recorded as
+    failed; records of a unit land one by one, so a partially completed
+    campaign still resumes cell by cell. An injected ``executor`` runs
+    inline, one cell per unit; workers always run :func:`_execute_unit`.
     """
-    from multiprocessing import shared_memory
+    if workers == 0 and executor is not execute_cell:
+        units = [[cell] for cell in pending]
+        run_unit: Callable = lambda cells: [executor(cells[0])]
+    else:
+        units = _sweep_units(pending)
+        run_unit = _execute_unit
+    stats = {"ok": 0, "failed": 0, "retries_used": 0}
+    todo = [(cells, 1) for cells in reversed(units)]  # pop() keeps the order
+
+    def settle(cells: List[Dict[str, object]], attempt: int, outcome) -> None:
+        state, payload = outcome
+        if state == "ok":
+            stats["ok"] += len(cells)
+            for record in payload:
+                record["attempts"] = attempt
+                on_record(record)
+        elif attempt <= retries:
+            stats["retries_used"] += 1
+            todo.append((cells, attempt + 1))
+        else:
+            if state != "timeout":
+                error = str(payload)
+            elif cells[0].get("engine") == "batched":
+                error = (
+                    f"group timeout after {timeout * len(cells):g}s "  # type: ignore[operator]
+                    f"({len(cells)} cells x {timeout:g}s)"
+                )
+            else:
+                error = f"timeout after {timeout:g}s"
+            stats["failed"] += len(cells)
+            for cell in cells:
+                on_record(_failure_record(cell, attempt, error))
+
+    if workers == 0:
+        while todo:
+            cells, attempt = todo.pop()
+            settle(cells, attempt, procs.call(run_unit, cells))
+        return stats
 
     ctx = _mp_context(start_method)
-    stats = {"ok": 0, "failed": 0, "retries_used": 0}
-    todo: List[_GroupAttempt] = [
-        _GroupAttempt(cells=g, attempt=1) for g in _group_pending(pending)
-    ]
-    todo.reverse()  # pop() keeps the original submission order
-    running: List[_GroupAttempt] = []
-    seq = 0
-
-    def release(item: _GroupAttempt) -> None:
-        shm = item.shm
-        if shm is None:
-            return
-        item.shm = None
-        shm.close()  # type: ignore[union-attr]
-        try:
-            shm.unlink()  # type: ignore[union-attr]
-        except FileNotFoundError:  # pragma: no cover - already gone
-            pass
-
-    def settle(item: _GroupAttempt, error: str) -> None:
-        release(item)
-        if item.attempt <= retries:
-            stats["retries_used"] += 1
-            todo.append(_GroupAttempt(cells=item.cells, attempt=item.attempt + 1))
-        else:
-            stats["failed"] += len(item.cells)
-            for cell in item.cells:
-                on_record(_failure_record(cell, item.attempt, error))
-
-    def finish(item: _GroupAttempt, records: List[Dict[str, object]]) -> None:
-        release(item)
-        stats["ok"] += len(item.cells)
-        for record in records:
-            record["attempts"] = item.attempt
-            on_record(record)
-
+    running: List[Tuple[List[Dict[str, object]], int, procs.Attempt]] = []
     try:
         while todo or running:
             while todo and len(running) < workers:
-                item = todo.pop()
-                seq += 1
-                item.shm = shared_memory.SharedMemory(
-                    # PID-prefixed so stale segments are attributable (and
-                    # the cleanup tests can scan for this process's leaks).
-                    name=f"repro-grp-{os.getpid()}-{seq}",
-                    create=True,
-                    size=max(
-                        _SHM_MIN_BYTES, _SHM_BYTES_PER_CELL * len(item.cells)
-                    ),
-                )
-                _start(ctx, item, _group_worker_entry, item.cells, item.shm.name)
-                item.deadline = (
-                    time.monotonic() + timeout * len(item.cells)
+                cells, attempt = todo.pop()
+                deadline = (
+                    time.monotonic() + timeout * len(cells)
                     if timeout is not None
                     else None
                 )
-                running.append(item)
-
-            _wait_any(running)
-            still_running: List[_GroupAttempt] = []
-            for item in running:
-                state, msg = _outcome(item)
-                if state == "result":
-                    tag, payload = msg  # type: ignore[misc]
-                    if tag == "shm":
-                        nbytes = int(payload)  # type: ignore[arg-type]
-                        raw = bytes(item.shm.buf[:nbytes])  # type: ignore[union-attr]
-                        finish(item, json.loads(raw.decode()))
-                    elif tag == "inline":
-                        finish(item, payload)  # type: ignore[arg-type]
-                    else:  # the worker caught an in-run exception
-                        settle(item, str(payload))
-                elif state == "crashed":
-                    settle(item, f"worker crashed (exit code {msg})")
-                elif state == "timeout":
-                    settle(
-                        item,
-                        f"group timeout after "
-                        f"{timeout * len(item.cells):g}s "  # type: ignore[operator]
-                        f"({len(item.cells)} cells x {timeout:g}s)",
-                    )
+                running.append(
+                    (cells, attempt, procs.Attempt(ctx, run_unit, (cells,), deadline))
+                )
+            procs.wait_any([worker for _, _, worker in running])
+            still_running = []
+            for cells, attempt, worker in running:
+                outcome = worker.outcome()
+                if outcome is None:
+                    still_running.append((cells, attempt, worker))
                 else:
-                    still_running.append(item)
+                    settle(cells, attempt, outcome)
             running = still_running
     finally:
-        # Belt and braces: a raising on_record (or KeyboardInterrupt) must
-        # not leak segments or pipes of still-running groups.
-        for item in running:
-            if item.process is not None and item.process.is_alive():  # type: ignore[union-attr]
-                item.process.terminate()  # type: ignore[union-attr]
-                item.process.join()  # type: ignore[union-attr]
-            if item.reader is not None:
-                item.reader.close()  # type: ignore[union-attr]
-            release(item)
+        # A raising on_record (or KeyboardInterrupt) must not leave
+        # workers behind.
+        for _, _, worker in running:
+            worker.close()
     return stats
 
 
@@ -1154,15 +846,16 @@ def run_campaign(
     enforcement — the mode tests and small sweeps use); ``workers >= 1``
     fans cells out to that many OS processes, each attempt bounded by
     ``timeout`` seconds and retried up to ``retries`` times. On the
-    batched engine, parallel workers execute whole (algorithm, topology)
-    groups — one whole-array program per process, results returned
-    through shared memory — so grouping and multiprocessing compose
+    batched engine, cells run as whole (algorithm, topology) groups — one
+    whole-array program per unit, inline or in one worker process, its
+    records returned on a pipe — so grouping and multiprocessing compose
     instead of competing. ``start_method`` forces the multiprocessing
     start method (default: ``fork`` on Linux, ``spawn`` elsewhere). With
     ``resume=True`` (default), cells already recorded in
     ``out_dir/results.jsonl`` are skipped — delete the file (or pass
     ``resume=False``) for a fresh sweep. ``executor`` is injectable for
-    tests; the parallel path always runs :func:`execute_cell`.
+    tests and runs inline, cell by cell; worker processes always run the
+    program's own cell and group execution.
 
     Every appended record is stamped with ``recorded_at`` (unix seconds)
     so the analysis layer can derive throughput and ETA. With
@@ -1313,37 +1006,18 @@ def run_campaign(
         )
         say(f"  [{status}] {record.get('cell_id')} {detail}")
 
+    stats = {"ok": 0, "failed": 0, "retries_used": 0}
     try:
         if pending:
-            if workers == 0:
-                # The batched engine gets its speedup from grouping cells
-                # into one whole-array program; an injected executor
-                # (tests) keeps the per-cell serial path, where batched
-                # cells run one by one.
-                if spec.engine == "batched" and executor is execute_cell:
-                    stats = _run_batched(pending, retries, on_record)
-                else:
-                    stats = _run_serial(pending, retries, on_record, executor)
-            elif spec.engine == "batched":
-                stats = _run_parallel_batched(
-                    pending,
-                    workers,
-                    timeout,
-                    retries,
-                    on_record,
-                    start_method=start_method,
-                )
-            else:
-                stats = _run_parallel(
-                    pending,
-                    workers,
-                    timeout,
-                    retries,
-                    on_record,
-                    start_method=start_method,
-                )
-        else:
-            stats = {"ok": 0, "failed": 0, "retries_used": 0}
+            stats = _run_cells(
+                pending,
+                workers,
+                timeout,
+                retries,
+                on_record,
+                start_method=start_method,
+                executor=executor,
+            )
         if metrics_every:
             export_metrics()
     finally:

@@ -12,17 +12,14 @@ Two modes:
   :class:`ReductionService` call with the same master seed, the
   ``/healthz`` / ``/jobs`` / ``/metrics`` endpoints are scraped and
   strictly parsed, an epoch resubmission is verified to re-reduce the
-  updated partials, and shutdown is checked to leak no shared-memory
-  segments and no worker processes. The CI ``service-smoke`` job runs
-  exactly this.
+  updated partials, and shutdown is checked to leak no worker
+  processes. The CI ``service-smoke`` job runs exactly this.
 """
 
 from __future__ import annotations
 
 import argparse
-import glob
 import json
-import os
 import threading
 import time
 import urllib.error
@@ -216,8 +213,6 @@ def _verify_clean_shutdown() -> None:
 
     children = multiprocessing.active_children()
     assert not children, f"leaked worker processes: {children}"
-    leaked = glob.glob(f"/dev/shm/repro-svc-{os.getpid()}-*")
-    assert not leaked, f"leaked shared-memory segments: {leaked}"
 
 
 def _run_demo(
@@ -361,7 +356,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         daemon.close()
     if args.demo:
         _verify_clean_shutdown()
-        say("shutdown: no leaked shm segments, no leaked workers")
+        say("shutdown: no leaked workers")
     return 0
 
 

@@ -5,9 +5,10 @@ submit independent reduction jobs; dispatcher threads gather compatible
 queued jobs into groups (a short *linger* window lets concurrent
 submissions coalesce), execute each group as one whole-array batched
 program — in-process with ``workers=0``, or sharded across worker
-subprocesses with the campaign runner's shared-memory transport — and
-complete the jobs with per-node results, retrying groups whose worker
-died and failing jobs past their retry budget or deadline.
+subprocesses through the campaign runner's worker transport
+(:mod:`repro.util.procs`) — and complete the jobs with per-node
+results, retrying groups whose worker died and failing jobs past their
+retry budget or deadline.
 
 Mechanism map (DESIGN.md §6 has the long form):
 
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 import collections
 import dataclasses
-import pickle
+import os
 import threading
 import time
 import uuid
@@ -53,13 +54,8 @@ from repro.service.jobs import (
     JobSpec,
     JobState,
 )
-from repro.service.workers import (
-    SHM_BYTES_PER_JOB,
-    SHM_MIN_BYTES,
-    group_worker_entry,
-    shm_name,
-)
 from repro.telemetry.registry import MetricsRegistry
+from repro.util import procs
 
 #: Bucket ladder for the group-size histogram (jobs per program).
 BATCH_SIZE_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0)
@@ -125,14 +121,32 @@ class _Job:
         self.crash_attempts = crash_attempts
 
 
+def _execute_in_worker(
+    requests: List[ExecRequest], kernel_backend: Optional[str]
+) -> List[ExecResult]:
+    """Worker-process body for one job group.
+
+    The ``crash_attempts`` test seam fires here and only here: an
+    in-process daemon never hard-kills itself, but a subprocess dying
+    mid-group is exactly the failure mode the retry path must absorb,
+    so the lifecycle tests script it deterministically.
+    """
+    for req in requests:
+        if req.crash_attempts and req.attempt <= req.crash_attempts:
+            os._exit(42)
+    from repro.service.batch import execute_group
+
+    return execute_group(requests, kernel_backend=kernel_backend)
+
+
 class ReductionDaemon:
     """Persistent multi-tenant aggregation daemon (see module docstring).
 
     ``workers=0`` executes groups inline on the dispatcher thread
     (deterministic, no subprocesses — the test/default mode);
     ``workers=W >= 1`` runs W dispatcher threads, each owning at most one
-    worker subprocess at a time, so up to W groups execute concurrently
-    with results returned through parent-owned shared memory.
+    worker subprocess at a time, so up to W groups execute concurrently,
+    each returning its results pickled on a one-way pipe.
 
     Finished jobs are retained, not kept forever: a terminal job drops
     its input partials, and once its result has been returned by
@@ -174,7 +188,9 @@ class ReductionDaemon:
         self._retries = retries
         self._max_batch = max_batch
         self._linger_s = max(0.0, float(linger_s))
-        self._start_method = start_method
+        # Resolved here, so a bad start method fails the constructor and
+        # not a dispatcher thread.
+        self._ctx = procs.mp_context(start_method)
         self._kernel_backend = kernel_backend
 
         self.registry = registry if registry is not None else MetricsRegistry()
@@ -237,7 +253,6 @@ class ReductionDaemon:
             "epochs": 0,
         }
         self._closed = False
-        self._shm_seq = 0
 
         self._threads = [
             threading.Thread(
@@ -277,7 +292,7 @@ class ReductionDaemon:
         is at its in-flight quota, and :class:`ConfigurationError` for a
         malformed job — all synchronously, before anything is enqueued.
         ``crash_attempts`` is the worker-death test seam (see
-        :func:`repro.service.workers.group_worker_entry`).
+        :func:`_execute_in_worker`).
         """
         try:
             spec = JobSpec.build(
@@ -625,99 +640,26 @@ class ReductionDaemon:
                 else "object"
             )
             if self._workers == 0:
-                try:
-                    from repro.service.batch import execute_group
+                from repro.service.batch import execute_group
 
-                    results = execute_group(
-                        requests, kernel_backend=self._kernel_backend
-                    )
-                except Exception as exc:  # noqa: BLE001 - settles into retries
-                    self._settle_failure(
-                        group, f"{type(exc).__name__}: {exc}"
-                    )
-                    continue
-                self._complete(group, results)
-            else:
-                outcome = self._run_in_worker(group, requests)
-                if isinstance(outcome, str):
-                    self._settle_failure(group, outcome)
-                else:
-                    self._complete(group, outcome)
-
-    def _run_in_worker(
-        self, group: List[_Job], requests: List[ExecRequest]
-    ):
-        """Execute one group in a subprocess; results via shared memory.
-
-        Returns the result list on success, an error string otherwise.
-        Mirrors the campaign runner's transport: parent-owned segment,
-        a one-way pipe for the outcome tag, unlink in every path. The
-        dispatcher blocks on the pipe and the process sentinel together,
-        bounded by the group deadline, so a finished group is picked up
-        the moment its outcome arrives.
-        """
-        from multiprocessing import connection, shared_memory
-
-        from repro.campaigns.runner import _mp_context
-
-        ctx = _mp_context(self._start_method)
-        with self._lock:
-            self._shm_seq += 1
-            seq = self._shm_seq
-        shm = shared_memory.SharedMemory(
-            name=shm_name(seq),
-            create=True,
-            size=max(SHM_MIN_BYTES, SHM_BYTES_PER_JOB * len(requests)),
-        )
-        reader, writer = ctx.Pipe(duplex=False)
-        proc = ctx.Process(
-            target=group_worker_entry,
-            args=(requests, shm.name, writer, self._kernel_backend),
-            daemon=True,
-        )
-        deadlines = [j.deadline for j in group if j.deadline is not None]
-        deadline = min(deadlines) if deadlines else None
-        try:
-            proc.start()
-            writer.close()  # the worker holds the only write end now
-            while True:
-                timeout = (
-                    None
-                    if deadline is None
-                    else max(0.0, deadline - time.monotonic())
+                outcome = procs.call(
+                    execute_group, requests, kernel_backend=self._kernel_backend
                 )
-                ready = connection.wait([reader, proc.sentinel], timeout)
-                if reader in ready:
-                    try:
-                        tag, payload = reader.recv()
-                    except EOFError:  # died before (or while) reporting
-                        pass
-                    else:
-                        proc.join()
-                        if tag == "shm":
-                            raw = bytes(shm.buf[: int(payload)])
-                            return pickle.loads(raw)
-                        if tag == "inline":
-                            return payload
-                        return str(payload)  # worker-side exception text
-                if ready:
-                    proc.join()
-                    return f"worker crashed (exit code {proc.exitcode})"
-                if deadline is not None and time.monotonic() > deadline:
-                    proc.terminate()
-                    proc.join()
-                    return "deadline exceeded while running"
-        finally:
-            if proc.is_alive():  # pragma: no cover - close() interrupt path
-                proc.terminate()
-                proc.join()
-            reader.close()
-            writer.close()
-            shm.close()
-            try:
-                shm.unlink()
-            except FileNotFoundError:  # pragma: no cover - already gone
-                pass
+            else:
+                deadlines = [j.deadline for j in group if j.deadline is not None]
+                outcome = procs.run(
+                    self._ctx,
+                    _execute_in_worker,
+                    (requests, self._kernel_backend),
+                    deadline=min(deadlines) if deadlines else None,
+                )
+            state, payload = outcome
+            if state == "ok":
+                self._complete(group, payload)  # type: ignore[arg-type]
+            elif state == "timeout":
+                self._settle_failure(group, "deadline exceeded while running")
+            else:
+                self._settle_failure(group, str(payload))
 
     def _requeue_new_epoch_locked(self, job: _Job) -> None:
         """A mid-run resubmission superseded this attempt's inputs."""

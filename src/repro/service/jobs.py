@@ -5,7 +5,7 @@ would otherwise hand to :meth:`ReductionService.all_reduce_sum`, plus
 the service-level envelope (tenant, deadline, retry budget). The specs
 here are plain picklable dataclasses so whole groups travel to worker
 processes through ``multiprocessing`` unchanged, and results return
-through shared memory with their float64 payloads bit-intact (pickle
+on the worker's pipe with their float64 payloads bit-intact (pickle
 round-trips IEEE doubles exactly).
 """
 

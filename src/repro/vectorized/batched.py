@@ -778,20 +778,28 @@ class BatchedErrorHistory:
         self._truth = truth  # (R, d)
         scale = np.abs(truth).max(axis=1)
         self._scale = np.where(scale > 0.0, scale, 1.0)
+        self._truth_full: Optional[np.ndarray] = None  # (R, n, d)
         self._series = _RunSeries(len(truth))
 
     def on_round_end(self, engine: BatchedEngine, round_index: int) -> None:
         shared = engine.round_estimates()
         est = shared.estimates
+        if self._truth_full is None:
+            # Each run's truth repeated over its nodes, once: the
+            # subtraction then runs over equal shapes, not a broadcast.
+            self._truth_full = np.repeat(
+                self._truth[:, None, :], est.shape[1], axis=1
+            )
         with np.errstate(invalid="ignore"):
-            diff = np.abs(est - self._truth[:, None, :]).max(axis=2)
-        finite = np.isfinite(est).all(axis=2)
-        node_err = np.where(
-            finite, diff / self._scale[:, None], np.inf
-        )
-        # Departed nodes hold frozen (or reset) state that is not part of
-        # the computation; exclude them from the run maximum.
-        node_err = np.where(shared.node_alive, node_err, -np.inf)
+            node_err = (
+                np.abs(est - self._truth_full).max(axis=2)
+                / self._scale[:, None]
+            )
+        # A NaN or ±inf component makes the node's maximum NaN or inf; NaN
+        # reads as inf. Departed nodes hold frozen (or reset) state that
+        # is not part of the computation; exclude them from the run maximum.
+        node_err[np.isnan(node_err)] = np.inf
+        node_err[~shared.node_alive] = -np.inf
         self._series.append(
             round_index, node_err.max(axis=1), engine._last_active
         )

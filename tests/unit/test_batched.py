@@ -11,6 +11,7 @@ layers on top of that invariant.
 import numpy as np
 import pytest
 
+from repro.algorithms.aggregates import relative_error
 from repro.dynamics import scripted_churn
 from repro.exceptions import ConfigurationError
 from repro.faults.events import LinkFailure
@@ -22,6 +23,7 @@ from repro.vectorized.batched import (
     BatchedErrorHistory,
     BatchedMassProbe,
     BatchedRun,
+    RoundEstimates,
 )
 from repro.vectorized.engines import VectorPushSum
 from repro.vectorized.parity import materialize_schedule, vector_engine_for
@@ -559,6 +561,41 @@ class TestBatchObservers:
         assert np.isinf(history.current_max_errors()).all()
         # Zero truth falls back to absolute error (scale 1.0).
         assert history._scale.tolist() == [1.0, 2.0]
+
+    def test_error_history_matches_relative_error_on_non_finite_estimates(
+        self,
+    ):
+        # A hand-built round (d = 2). In run r node 0 carries the case
+        # under test; node 1 has departed in every run and holds values
+        # that would dominate the maximum if it were counted. Run 5 has
+        # no live node at all.
+        truths = np.array(
+            [[1.0, -2.0], [0.0, 0.0], [3.0, 0.5], [-4.0, 1.0], [1.0, 1.0],
+             [2.0, 2.0]]
+        )
+        node0 = np.array(
+            [[1.5, -2.25], [0.25, -0.5], [np.nan, 0.5], [np.inf, 1.0],
+             [1.0, -np.inf], [2.0, 2.0]]
+        )
+        est = np.stack([node0, np.tile([1e300, np.nan], (6, 1))], axis=1)
+        alive = np.zeros((6, 2), dtype=bool)
+        alive[:5, 0] = True
+
+        class StubEngine:
+            _last_active = np.ones(6, dtype=bool)
+
+            def round_estimates(self):
+                return RoundEstimates(
+                    values=est, weights=np.ones((6, 2)), estimates=est,
+                    node_alive=alive,
+                )
+
+        history = BatchedErrorHistory(truths)
+        history.on_round_end(StubEngine(), 0)
+        recorded = [series[0] for series in history.max_errors]
+        expected = [relative_error(node0[r], truths[r]) for r in range(5)]
+        assert recorded == expected + [-np.inf]
+        assert expected[2:5] == [np.inf] * 3
 
     def test_error_history_tracks_convergence_round(self):
         topo = hypercube(3)

@@ -333,7 +333,7 @@ class TestParallelBatchedGroups:
         from repro.campaigns import runner as runner_mod
 
         records = []
-        stats = runner_mod._run_parallel_batched(
+        stats = runner_mod._run_cells(
             cells,
             workers=1,
             timeout=30,

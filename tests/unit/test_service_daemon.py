@@ -15,6 +15,7 @@ takes effect immediately.
 """
 
 import glob
+import multiprocessing
 import os
 import threading
 import time
@@ -378,6 +379,53 @@ class TestWorkerDeath:
                 daemon.result(job_id, timeout=30)
             assert time.monotonic() - t0 < 10
         assert glob.glob(f"/dev/shm/repro-svc-{os.getpid()}-*") == []
+
+
+class TestConstruction:
+    def test_unavailable_start_method_fails_the_constructor(self):
+        # Raised from a dispatcher thread instead, the error would kill the
+        # thread at the first dispatch and leave the job unsettled.
+        threads = threading.active_count()
+        with pytest.raises(ConfigurationError, match="start method"):
+            ReductionDaemon(workers=1, start_method="bogus")
+        assert threading.active_count() == threads
+
+
+class TestWorkerTransport:
+    @pytest.mark.parametrize("start_method", ["fork", "spawn"])
+    def test_results_larger_than_a_pipe_buffer(self, start_method):
+        # push_sum on hypercube(3) with d = 1100: each job's (8, 1100)
+        # float64 estimates are 70.4 KB, more than one 64 KiB pipe buffer,
+        # so the worker blocks in its send until the dispatcher reads the
+        # pipe. A dispatcher that joined the worker first would hang here
+        # until the result timeout.
+        if start_method not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"{start_method} unavailable on this platform")
+        topo = hypercube(3)
+        rng = np.random.default_rng(17)
+        partials = [rng.uniform(size=(topo.n, 1100)) for _ in range(3)]
+        with ReductionDaemon(
+            workers=1, linger_s=0.05, start_method=start_method
+        ) as daemon:
+            ids = [
+                daemon.submit(
+                    tenant=f"t{j}",
+                    algorithm="push_sum",
+                    topology=topo,
+                    partials=list(rows),
+                    epsilon=1e-12,
+                    seed=j,
+                )
+                for j, rows in enumerate(partials)
+            ]
+            results = [daemon.result(job_id, timeout=120) for job_id in ids]
+        for j, (rows, res) in enumerate(zip(partials, results)):
+            assert res.estimates.nbytes > 65536
+            expected = _serial(
+                topo, list(rows), algorithm="push_sum", epsilon=1e-12, seed=j
+            )
+            assert _bit_identical(res.estimates, expected), j
+        assert multiprocessing.active_children() == []
 
 
 class TestFinishedJobRetention:
