@@ -57,6 +57,16 @@ def _demo_topology(tenant_index: int):
     return families[tenant_index % len(families)]()
 
 
+def _check(ok: bool, *message: object) -> None:
+    """Raise ``AssertionError(*message)`` unless ``ok``.
+
+    The demo's self-checks are its verdict, so unlike ``assert``
+    statements they must also run under ``python -O``.
+    """
+    if not ok:
+        raise AssertionError(*message)
+
+
 def _bit_identical(a: np.ndarray, b: np.ndarray) -> bool:
     """Bitwise float64 equality — stricter than ``np.array_equal``.
 
@@ -158,7 +168,7 @@ def _verify_epoch_restart(
     updated = [float(v) for v in rng.standard_normal(topology.n)]  # type: ignore[attr-defined]
     epoch = daemon.resubmit(job_id, updated)
     result = daemon.result(job_id, timeout=60.0)
-    assert result.epoch == epoch, (result.epoch, epoch)
+    _check(result.epoch == epoch, (result.epoch, epoch))
     service = ReductionService(
         topology,  # type: ignore[arg-type]
         algorithm=spec["algorithm"],  # type: ignore[arg-type]
@@ -179,13 +189,13 @@ def _verify_http(url: str, expected_jobs: int) -> None:
     from repro.telemetry import parse_prometheus_text
 
     health = json.loads(_http_get(url + "/healthz"))
-    assert health["status"] == "ok", health
-    assert health["queue_depth"] == 0, health
-    assert health["jobs_completed"] >= expected_jobs, health
+    _check(health["status"] == "ok", health)
+    _check(health["queue_depth"] == 0, health)
+    _check(health["jobs_completed"] >= expected_jobs, health)
 
     jobs = json.loads(_http_get(url + "/jobs"))["jobs"]
-    assert len(jobs) == expected_jobs, (len(jobs), expected_jobs)
-    assert all(j["state"] == "done" for j in jobs), jobs
+    _check(len(jobs) == expected_jobs, (len(jobs), expected_jobs))
+    _check(all(j["state"] == "done" for j in jobs), jobs)
 
     samples = parse_prometheus_text(_http_get(url + "/metrics"))
     by_name: Dict[str, float] = {}
@@ -193,17 +203,18 @@ def _verify_http(url: str, expected_jobs: int) -> None:
         by_name[name] = by_name.get(name, 0.0) + value
     # Latency histogram must be live: one observation per completed epoch.
     count = by_name.get("daemon_job_latency_seconds_count", 0.0)
-    assert count >= expected_jobs, (
+    _check(
+        count >= expected_jobs,
         f"daemon_job_latency_seconds_count={count}, "
-        f"expected >= {expected_jobs}"
+        f"expected >= {expected_jobs}",
     )
-    assert by_name.get("daemon_jobs_submitted_total", 0.0) >= expected_jobs
-    assert by_name.get("daemon_batch_jobs_count", 0.0) >= 1
+    _check(by_name.get("daemon_jobs_submitted_total", 0.0) >= expected_jobs)
+    _check(by_name.get("daemon_batch_jobs_count", 0.0) >= 1)
     # The campaign-only endpoints must 404 on a daemon source.
     try:
         _http_get(url + "/progress")
     except urllib.error.HTTPError as exc:
-        assert exc.code == 404, exc.code
+        _check(exc.code == 404, exc.code)
     else:
         raise AssertionError("/progress should 404 on a daemon source")
 
@@ -212,7 +223,7 @@ def _verify_clean_shutdown() -> None:
     import multiprocessing
 
     children = multiprocessing.active_children()
-    assert not children, f"leaked worker processes: {children}"
+    _check(not children, f"leaked worker processes: {children}")
 
 
 def _run_demo(
@@ -250,9 +261,10 @@ def _run_demo(
     say(f"all {len(done)} jobs completed in {time.monotonic() - t0:.2f}s")
 
     max_batched = _verify_parity(done)
-    assert max_batched > 1, (
+    _check(
+        max_batched > 1,
         "no job was multiplexed into a batched group — the demo stream "
-        "should coalesce"
+        "should coalesce",
     )
     say(
         f"parity: every job bit-identical to its serial ReductionService "

@@ -34,7 +34,6 @@ its ``trace.jsonl`` dump.
 
 from __future__ import annotations
 
-import math
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -145,7 +144,7 @@ def flow_stats(engine: object) -> Optional[Tuple[float, float, float]]:
     if node_mags is not None:  # vectorized flow engine
         mags = np.asarray(node_mags())
         _, weights = vector_pairs(engine)  # type: ignore[misc]
-        mean_weight = float(np.mean(np.abs(weights)))
+        mean_weight = float(np.abs(weights).sum()) / weights.size
     else:
         algorithms = _object_algorithms(engine)
         if algorithms is None:
@@ -160,8 +159,9 @@ def flow_stats(engine: object) -> Optional[Tuple[float, float, float]]:
         mean_weight = float(np.mean(weights)) if weights else 0.0
     if mags.size == 0:
         return None
-    max_flow = float(np.max(mags))
-    mean_flow = float(np.mean(mags))
+    # A mean is one sum and one division, exactly as np.mean computes it.
+    max_flow = float(mags.max())
+    mean_flow = float(mags.sum()) / mags.size
     ratio = max_flow / max(mean_weight, _TINY)
     return max_flow, mean_flow, ratio
 
@@ -277,19 +277,39 @@ class MassDriftTracker:
     """
 
     def __init__(self) -> None:
-        self._baseline: Optional[Tuple[np.ndarray, float]] = None
+        self._baseline: Optional[np.ndarray] = None
+        self._scale = _TINY
         self._obj_baseline: Optional[MassPair] = None
         self._obj_members: Optional[frozenset] = None
 
+    @staticmethod
+    def _vector_totals(engine: object) -> Optional[np.ndarray]:
+        """A vectorized engine's ``(d + 1,)`` mass totals (value sums, then
+        the weight sum); None for the object engines.
+
+        Each part is summed on its own, as the separate value and weight
+        arrays were, so drift keeps its exact rounding; everything after
+        the sums is one pass over the fused totals.
+        """
+        pairs = vector_pairs(engine)
+        if pairs is None:
+            return None
+        values, weights = pairs
+        values = np.asarray(values)
+        totals = np.empty(values.shape[-1] + 1)
+        totals[:-1] = values.sum(axis=0)
+        totals[-1] = weights.sum()
+        return totals
+
+    def _set_baseline(self, totals: np.ndarray) -> None:
+        self._baseline = totals
+        self._scale = max(float(np.abs(totals).max()), _TINY)
+
     def start(self, engine: object) -> None:
         """Capture the baseline from a freshly constructed engine."""
-        pairs = vector_pairs(engine)
-        if pairs is not None:  # vectorized engine: flows start at zero
-            values, weights = pairs
-            self._baseline = (
-                np.sum(np.asarray(values), axis=0),
-                float(np.sum(weights)),
-            )
+        totals = self._vector_totals(engine)
+        if totals is not None:  # vectorized engine: flows start at zero
+            self._set_baseline(totals)
             return
         algorithms = _object_algorithms(engine)
         if algorithms:
@@ -303,27 +323,14 @@ class MassDriftTracker:
 
     def drift(self, engine: object) -> Optional[float]:
         """Relative deviation from the baseline; inf when non-finite."""
-        pairs = vector_pairs(engine)
-        if pairs is not None:  # vectorized engine
-            values, weights = pairs
-            current = (
-                np.sum(np.asarray(values), axis=0),
-                float(np.sum(weights)),
-            )
+        current = self._vector_totals(engine)
+        if current is not None:  # vectorized engine
             if self._baseline is None:
-                self._baseline = current
+                self._set_baseline(current)
                 return 0.0
-            if not (
-                np.all(np.isfinite(current[0])) and math.isfinite(current[1])
-            ):
+            if not np.isfinite(current).all():
                 return float("inf")
-            exp_v, exp_w = self._baseline
-            scale = max(float(np.max(np.abs(exp_v))), abs(exp_w), _TINY)
-            deviation = max(
-                float(np.max(np.abs(current[0] - exp_v))),
-                abs(current[1] - exp_w),
-            )
-            return deviation / scale
+            return float(np.abs(current - self._baseline).max()) / self._scale
         algorithms = _object_algorithms(engine)
         if not algorithms:
             return None

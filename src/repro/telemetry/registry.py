@@ -52,6 +52,12 @@ DEFAULT_TIME_BUCKETS = tuple(
 
 
 def _label_key(labels: Dict[str, str]) -> LabelKey:
+    # The per-round hooks pass zero labels or one: nothing to sort.
+    if not labels:
+        return ()
+    if len(labels) == 1:
+        ((k, v),) = labels.items()
+        return ((str(k), str(v)),)
     return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
 
 

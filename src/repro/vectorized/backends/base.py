@@ -13,14 +13,24 @@ most a couple of counters. That keeps every implementation swappable and
 lets compiled backends (numba) receive exactly the same arguments as the
 NumPy reference.
 
+**Fused mass layout.** Every protocol quantity is a mass pair (value,
+weight), and every mass array stores the pair as one row of ``d + 1``
+float64 columns: the ``d`` value columns, then the weight. That covers
+push-sum's mass ``(n, d + 1)``, PF flows ``(n, md, d + 1)``, PCF flows
+``(n, md, 2, d + 1)``, phi ``(n, d + 1)``, the hardened frozen copies
+``(n, md, d + 1)`` and the pre-round estimate ``(n, d + 1)``. A kernel
+applies each element-wise operation to a whole row, so the weight gets
+exactly the operations, in exactly the order, it got as a separate
+array; that is why the layout changes no bit of any result.
+
 Semantics every backend must honour (the parity suites enforce this
 against the object engine):
 
 - **Phase separation.** All send-side updates happen before any
-  delivery: the flow kernels receive the pre-round estimate pair
-  ``(est_val, est_w)`` (the engine's read-only shared pair, never
-  written), payloads are snapshots taken after the send phase, and
-  receiver updates never feed back into the same round's sends.
+  delivery: the flow kernels receive the pre-round estimate ``est``
+  (the engine's read-only shared estimate, never written), payloads are
+  snapshots taken after the send phase, and receiver updates never feed
+  back into the same round's sends.
 - **Sender-order accumulation.** Within a round, receiver-side updates
   that can collide (push-sum mass, PCF phi deltas) are applied in
   ascending message order — the order ``np.add.at`` uses and the order
@@ -35,6 +45,8 @@ against the object engine):
 - **Contiguous state.** State arrays are C-contiguous; the NumPy
   reference writes through flat views and raises
   :class:`~repro.exceptions.ConfigurationError` on anything else.
+
+Every kernel takes the round's messages last, ending with ``delivered``.
 """
 
 from __future__ import annotations
@@ -56,8 +68,7 @@ class KernelBackend(abc.ABC):
     @abc.abstractmethod
     def push_sum_round(
         self,
-        val: np.ndarray,  # (n, d) in/out
-        w: np.ndarray,  # (n,) in/out
+        mass: np.ndarray,  # (n, d + 1) in/out
         senders: np.ndarray,  # (k,) int64
         receivers: np.ndarray,  # (k,) int64
         delivered: np.ndarray,  # (k,) bool
@@ -67,10 +78,8 @@ class KernelBackend(abc.ABC):
     @abc.abstractmethod
     def push_flow_round(
         self,
-        fval: np.ndarray,  # (n, md, d) in/out
-        fw: np.ndarray,  # (n, md) in/out
-        est_val: np.ndarray,  # (n, d) pre-round estimate values (read-only)
-        est_w: np.ndarray,  # (n,) pre-round estimate weights (read-only)
+        flow: np.ndarray,  # (n, md, d + 1) in/out
+        est: np.ndarray,  # (n, d + 1) pre-round estimate (read-only)
         senders: np.ndarray,
         slots: np.ndarray,
         receivers: np.ndarray,
@@ -83,14 +92,11 @@ class KernelBackend(abc.ABC):
     @abc.abstractmethod
     def pcf_round(
         self,
-        fval: np.ndarray,  # (n, md, 2, d) in/out
-        fw: np.ndarray,  # (n, md, 2) in/out
+        flow: np.ndarray,  # (n, md, 2, d + 1) in/out
         c: np.ndarray,  # (n, md) int8 role bits, in/out
         r: np.ndarray,  # (n, md) int64 era counters, in/out
-        phi_val: np.ndarray,  # (n, d) in/out
-        phi_w: np.ndarray,  # (n,) in/out
-        est_val: np.ndarray,  # (n, d) pre-round v0 - phi_val (read-only)
-        est_w: np.ndarray,  # (n,) pre-round w0 - phi_w (read-only)
+        phi: np.ndarray,  # (n, d + 1) in/out
+        est: np.ndarray,  # (n, d + 1) pre-round mass0 - phi (read-only)
         senders: np.ndarray,
         slots: np.ndarray,
         receivers: np.ndarray,
@@ -102,16 +108,12 @@ class KernelBackend(abc.ABC):
     @abc.abstractmethod
     def pcf_hardened_round(
         self,
-        fval: np.ndarray,  # (n, md, 2, d) in/out
-        fw: np.ndarray,  # (n, md, 2) in/out
+        flow: np.ndarray,  # (n, md, 2, d + 1) in/out
         r: np.ndarray,  # (n, md) int64 era counters, in/out
-        frozen_val: np.ndarray,  # (n, md, d) in/out
-        frozen_w: np.ndarray,  # (n, md) in/out
+        frozen: np.ndarray,  # (n, md, d + 1) in/out
         initiator: np.ndarray,  # (n, md) bool (read-only)
-        phi_val: np.ndarray,
-        phi_w: np.ndarray,
-        est_val: np.ndarray,
-        est_w: np.ndarray,
+        phi: np.ndarray,  # (n, d + 1) in/out
+        est: np.ndarray,  # (n, d + 1) pre-round mass0 - phi (read-only)
         senders: np.ndarray,
         slots: np.ndarray,
         receivers: np.ndarray,

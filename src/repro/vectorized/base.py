@@ -12,10 +12,12 @@ experiments (Figs. 4/7) run at n=64 where the object engine is the right
 tool. Parity between the two engines on identical scripted schedules is
 covered by tests (see :mod:`repro.vectorized.parity`).
 
-Value payloads may be vectors: state arrays carry a trailing dimension
-``d``, so one engine run can carry a whole batch of reductions under a
-shared schedule — the distributed QR uses this to push all dot products of
-a Gram-Schmidt step through a single reduction.
+Value payloads may be vectors, so one engine run can carry a whole batch
+of reductions under a shared schedule — the distributed QR uses this to
+push all dot products of a Gram-Schmidt step through a single reduction.
+Every mass quantity (initial mass, push-sum mass, flows, phi, estimates)
+is one C-contiguous array whose rows hold ``d + 1`` columns: the ``d``
+values, then the weight (see :mod:`repro.vectorized.backends.base`).
 """
 
 from __future__ import annotations
@@ -36,7 +38,8 @@ StopCondition = Callable[["VectorizedEngine", int], bool]
 
 
 def _as_matrix(values: np.ndarray, n: int) -> np.ndarray:
-    """Coerce per-node values to an (n, d) float64 matrix."""
+    """Coerce per-node values to an (n, d) float64 matrix, copying only to
+    convert."""
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim == 1:
         arr = arr[:, None]
@@ -44,7 +47,22 @@ def _as_matrix(values: np.ndarray, n: int) -> np.ndarray:
         raise ConfigurationError(
             f"initial values must have shape ({n},) or ({n}, d), got {arr.shape}"
         )
-    return np.array(arr, copy=True)
+    return arr
+
+
+def _fuse(values: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
+    """Per-node mass pairs as one new ``(n, d + 1)`` array: the values,
+    then the weight."""
+    values = _as_matrix(values, n)
+    mass = np.empty((n, values.shape[1] + 1))
+    mass[:, :-1] = values
+    mass[:, -1] = np.asarray(weights, dtype=np.float64).reshape(n)
+    return mass
+
+
+def _split(mass: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(values, weights)`` column views of a fused mass array."""
+    return mass[..., :-1], mass[..., -1]
 
 
 class VectorizedEngine(abc.ABC):
@@ -69,9 +87,9 @@ class VectorizedEngine(abc.ABC):
         else:
             self._arrays = TopologyArrays.from_topology(topology)
         n = self._arrays.n
-        self._v0 = _as_matrix(values, n)
-        self._w0 = np.asarray(weights, dtype=np.float64).reshape(n).copy()
-        self._d = self._v0.shape[1]
+        self._mass0 = _fuse(values, weights, n)
+        self._mass0.setflags(write=False)
+        self._d = self._mass0.shape[1] - 1
         if not 0.0 <= loss_probability <= 1.0:
             raise ConfigurationError(
                 f"loss_probability must be in [0, 1], got {loss_probability}"
@@ -107,9 +125,10 @@ class VectorizedEngine(abc.ABC):
         self._all_senders.setflags(write=False)
         self._all_delivered.setflags(write=False)
         # Bumped by every mutation of protocol state: the kernel round,
-        # _zero_failed_links and _reset_nodes. It keys the shared pair.
+        # _zero_failed_links and _reset_nodes. It keys the shared estimate,
+        # cached with its two column views.
         self._state_version = 0
-        self._shared_pair: Optional[Tuple[int, np.ndarray, np.ndarray]] = None
+        self._shared: Optional[Tuple[int, np.ndarray, np.ndarray, np.ndarray]] = None
 
     # ------------------------------------------------------------------
     # Introspection
@@ -155,9 +174,14 @@ class VectorizedEngine(abc.ABC):
     # Protocol hooks
     # ------------------------------------------------------------------
     @abc.abstractmethod
+    def _estimate(self) -> np.ndarray:
+        """The current estimate mass, ``(n, d + 1)``, freshly computed into
+        an array the caller owns."""
+
     def estimate_pairs(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Current ``(values (n, d), weights (n,))`` estimate pairs, freshly
-        computed into arrays the caller owns."""
+        """Current ``(values (n, d), weights (n,))`` estimate pairs: column
+        views of a fresh array the caller owns."""
+        return _split(self._estimate())
 
     @abc.abstractmethod
     def _apply_round(
@@ -168,26 +192,32 @@ class VectorizedEngine(abc.ABC):
         ``delivered[k]`` is False when the transport dropped message ``k``;
         the *send-side* bookkeeping must still happen (the virtual send
         precedes the physical one). Like every state mutation, it bumps
-        ``_state_version``; flow kernels read the pre-round shared pair.
+        ``_state_version``; flow kernels read the pre-round shared estimate.
         """
 
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def shared_estimate_pairs(self) -> Tuple[np.ndarray, np.ndarray]:
-        """The current estimate pair, computed once per state version.
+    def shared_estimate(self) -> np.ndarray:
+        """The current estimate mass ``(n, d + 1)``, computed once per state
+        version.
 
-        The arrays are read-only and shared: the stop rule, the probes and
-        the next round's kernel (which takes the pre-round pair) all read
-        this one copy, so a round pays for at most one estimate.
+        The array is read-only and shared: the stop rule, the probes and
+        the next round's kernel (which takes the pre-round estimate) all
+        read this one copy, so a round pays for at most one estimate.
         """
-        cached = self._shared_pair
+        cached = self._shared
         if cached is None or cached[0] != self._state_version:
-            values, weights = self.estimate_pairs()
-            values.setflags(write=False)
-            weights.setflags(write=False)
-            cached = self._shared_pair = (self._state_version, values, weights)
-        return cached[1], cached[2]
+            mass = self._estimate()
+            mass.setflags(write=False)
+            cached = self._shared = (self._state_version, mass, *_split(mass))
+        return cached[1]
+
+    def shared_estimate_pairs(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(values, weights)``: read-only column views of
+        :meth:`shared_estimate`."""
+        self.shared_estimate()
+        return self._shared[2:]
 
     def estimates(self) -> np.ndarray:
         """Per-node aggregate estimates, shape (n, d)."""

@@ -22,9 +22,8 @@ class VectorPushCancelFlowHardened(CancelFlowEngine):
 
     def __init__(self, topology, values, weights, **kwargs) -> None:
         super().__init__(topology, values, weights, **kwargs)
-        n, md, d = self.n, self._arrays.max_degree, self._d
-        self._frozen_val = np.zeros((n, md, d))
-        self._frozen_w = np.zeros((n, md))
+        n, md = self.n, self._arrays.max_degree
+        self._frozen = np.zeros((n, md, self._d + 1))
         # initiator[i, s]: node i initiates on its edge toward nbr[i, s].
         nbr = self._arrays.nbr
         self._initiator = (np.arange(n)[:, None] < nbr) & (nbr >= 0)
@@ -37,31 +36,25 @@ class VectorPushCancelFlowHardened(CancelFlowEngine):
         # Same phi fold-out as PCF, plus the frozen reference copies are
         # discarded.
         super()._zero_failed_links(nodes, slots)
-        self._frozen_val[nodes, slots] = 0.0
-        self._frozen_w[nodes, slots] = 0.0
+        self._frozen[nodes, slots] = 0.0
 
     def _reset_nodes(self, nodes) -> None:
         # As PCF, plus fresh frozen copies (initiator flags are id-derived
         # and unchanged).
         super()._reset_nodes(nodes)
-        self._frozen_val[nodes] = 0.0
-        self._frozen_w[nodes] = 0.0
+        self._frozen[nodes] = 0.0
 
     def _apply_round(self, senders, slots, delivered) -> None:
-        est_val, est_w = self.shared_estimate_pairs()
+        est = self.shared_estimate()
         self._state_version += 1
         receivers, r_slots = self._receiver_indices(senders, slots)
         cancels, catch_ups = self._kernels.pcf_hardened_round(
-            self._fval,
-            self._fw,
+            self._flow,
             self._r,
-            self._frozen_val,
-            self._frozen_w,
+            self._frozen,
             self._initiator,
-            self._phi_val,
-            self._phi_w,
-            est_val,
-            est_w,
+            self._phi,
+            est,
             senders,
             slots,
             receivers,

@@ -10,8 +10,15 @@ strict /metrics parse, clean shutdown) through the public CLI.
 
 import json
 import multiprocessing
+import os
+import pathlib
+import subprocess
+import sys
+import textwrap
 import urllib.error
 import urllib.request
+
+import repro
 
 from repro.experiments.cli import main as experiments_main
 from repro.service.cli import main as service_main
@@ -133,3 +140,38 @@ class TestServeReductionsCLI:
         )
         assert rc == 0
         assert multiprocessing.active_children() == []
+
+    def test_self_checks_survive_python_O(self):
+        # The demo's verdict must not depend on the optimization level:
+        # under python -O a live child still fails the shutdown check.
+        script = textwrap.dedent(
+            """
+            import multiprocessing, time
+            from repro.service.cli import _verify_clean_shutdown
+
+            child = multiprocessing.get_context("fork").Process(
+                target=time.sleep, args=(60,)
+            )
+            child.start()
+            try:
+                _verify_clean_shutdown()
+            except AssertionError as exc:
+                print(exc)
+                raise SystemExit(3)
+            finally:
+                child.terminate()
+                child.join()
+            """
+        )
+        src = str(pathlib.Path(repro.__file__).resolve().parents[1])
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert proc.returncode == 3, (proc.returncode, proc.stdout, proc.stderr)
+        assert "leaked worker processes" in proc.stdout

@@ -238,22 +238,27 @@ def _arbitrary_round(seed):
 
 
 _KERNEL_STATE = {
-    "push_sum_round": ("val", "w"),
-    "push_flow_round": ("flow_val", "flow_w", "v0", "w0"),
-    "pcf_round": ("fval", "fw", "c", "r", "phi_val", "phi_w", "v0", "w0"),
+    "push_sum_round": (("val", "w"),),
+    "push_flow_round": (("flow_val", "flow_w"), ("v0", "w0")),
+    "pcf_round": (("fval", "fw"), "c", "r", ("phi_val", "phi_w"), ("v0", "w0")),
     "pcf_hardened_round": (
-        "fval",
-        "fw",
+        ("fval", "fw"),
         "r",
-        "frozen_val",
-        "frozen_w",
+        ("frozen_val", "frozen_w"),
         "initiator",
-        "phi_val",
-        "phi_w",
-        "v0",
-        "w0",
+        ("phi_val", "phi_w"),
+        ("v0", "w0"),
     ),
 }
+
+
+def _argument(state, name):
+    """A kernel argument: a copy of one state array, or a (values,
+    weights) pair fused into one ``(..., d + 1)`` mass array."""
+    if isinstance(name, tuple):
+        values, weights = state[name[0]], state[name[1]]
+        return np.concatenate((values, weights[..., None]), axis=-1)
+    return state[name].copy()
 
 
 class TestArbitraryStateParity:
@@ -268,7 +273,7 @@ class TestArbitraryStateParity:
                 messages = (messages[0], messages[2], messages[4])
             outcomes = []
             for backend in (NumpyKernels(), NumbaKernels(jit=False)):
-                args = [state[name].copy() for name in _KERNEL_STATE[kernel]]
+                args = [_argument(state, name) for name in _KERNEL_STATE[kernel]]
                 returned = getattr(backend, kernel)(*args, *messages)
                 outcomes.append((returned, [a.tobytes() for a in args]))
             assert outcomes[0] == outcomes[1], (kernel, seed)
@@ -288,10 +293,10 @@ class TestContiguityGuard:
         )
         engine.run(4)
         # Same values, every other element of a wider buffer.
-        wide = np.zeros(engine._fval.shape[:-1] + (2 * engine.dimension,))
+        wide = np.zeros(engine._flow.shape[:-1] + (2 * (engine.dimension + 1),))
         strided = wide[..., ::2]
-        strided[...] = engine._fval
-        engine._fval = strided
+        strided[...] = engine._flow
+        engine._flow = strided
         before = engine.estimate_pairs()
         with pytest.raises(ConfigurationError, match="C-contiguous"):
             engine.step()
@@ -300,11 +305,10 @@ class TestContiguityGuard:
         assert before[1].tobytes() == after[1].tobytes()
 
     def test_strided_push_sum_state_is_refused(self):
-        val = np.zeros((8, 2))[:, ::2]
+        mass = np.zeros((8, 4))[:, ::2]
         with pytest.raises(ConfigurationError, match="C-contiguous"):
             NumpyKernels().push_sum_round(
-                val,
-                np.ones(8),
+                mass,
                 np.arange(8),
                 np.roll(np.arange(8), 1),
                 np.ones(8, dtype=bool),
