@@ -22,6 +22,11 @@ probes):
   per-message hook dispatch and phase timing on unsampled rounds, which
   is what keeps this slowdown within the CI-gated 1.5× budget.
 
+A ``batched-r1`` entry per size runs the vector entry's run as a
+``BatchedEngine`` batch of one, in chunks alternating with the single-run
+engine, and records its round time over the single-run engine's
+(informational, no gate).
+
 Wall-clock numbers are machine-dependent; compare ratios, not absolutes.
 """
 
@@ -78,6 +83,8 @@ GROUPS_ALGORITHMS = (
     "push_cancel_flow",
     "push_cancel_flow_hardened",
 )
+#: Rounds per timed chunk of the batched-r1 entry.
+R1_CHUNK = 64
 
 
 def _telemetry_observers(sampler=None):
@@ -109,6 +116,15 @@ def _vector_engine(n, observers=()):
     return vector_engine_for(ALGORITHM)(
         topo, data, np.ones(topo.n), seed=1, observers=list(observers)
     )
+
+
+def _batched_r1_engine(n):
+    """The vector entry's run (same topology, data and seed) as a batch of
+    one."""
+    topo = hypercube(int(np.log2(n)))
+    data = np.random.default_rng(0).uniform(size=topo.n)
+    run = BatchedRun(topology=topo, values=data, weights=np.ones(topo.n), rng=1)
+    return BatchedEngine(ALGORITHM, [run])
 
 
 def _batched_engine(n, runs=BATCHED_RUNS, backend=None):
@@ -258,6 +274,31 @@ def rounds_per_sec(factory, min_seconds: float = MIN_SECONDS) -> dict:
     }
 
 
+def round_ratio(single, batch, min_seconds: float = MIN_SECONDS) -> dict:
+    """Round times of a single-run engine and a batch of one, compared.
+
+    The two run alternating ``R1_CHUNK``-round chunks until each has run
+    ``min_seconds``; each keeps its fastest chunk, so a burst of load on a
+    shared box slows one chunk rather than one side.
+    """
+    best = [float("inf"), float("inf")]
+    spent = [0.0, 0.0]
+    for engine in (single, batch):
+        engine.run(16)  # warm-up (allocations, first-touch)
+    while min(spent) < min_seconds:
+        for side, engine in enumerate((single, batch)):
+            t0 = time.perf_counter()
+            engine.run(R1_CHUNK)
+            elapsed = time.perf_counter() - t0
+            best[side] = min(best[side], elapsed)
+            spent[side] += elapsed
+    return {
+        "rounds_per_sec": round(R1_CHUNK / best[1], 2),
+        "vector_rounds_per_sec": round(R1_CHUNK / best[0], 2),
+        "round_time_vs_vector": round(best[1] / best[0], 3),
+    }
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         description="Measure engine rounds/sec and write a JSON baseline."
@@ -335,6 +376,17 @@ def main(argv=None) -> int:
                 f"sampled 1/{DEFAULT_SAMPLE_EVERY} "
                 f"{entries[-1]['overhead_sampled']['slowdown']:.2f}x)"
             )
+
+    # One run as a batch of one vs the single-run engine: the per-round
+    # price of folding the single-run engine into BatchedEngine.
+    for n in sizes:
+        r1 = round_ratio(_vector_engine(n), _batched_r1_engine(n), min_seconds)
+        entries.append({"engine": "batched-r1", "algorithm": ALGORITHM, "n": n, "runs": 1, **r1})
+        print(
+            f"batched-r1 n={n:4d}  {r1['rounds_per_sec']:>10.1f} rounds/s  "
+            f"({r1['round_time_vs_vector']:.2f}x the single-run round, "
+            "informational)"
+        )
 
     # Batched campaign axis: BATCHED_RUNS independent runs as one program
     # vs the same runs executed sequentially on the object engine. One
@@ -426,6 +478,9 @@ def main(argv=None) -> int:
             "available kernel backend; speedup_vs_sequential_sync is a "
             "same-machine ratio against the object engine (CI gates the "
             "numpy entry; numba and batched-groups are informational). "
+            "'batched-r1' times the vector entry's run as a batch of one; "
+            "round_time_vs_vector is its round time over the single-run "
+            "engine's (informational). "
             "The 'batched-groups' entry runs a four-algorithm campaign "
             "with one worker process per group; 'campaign-live-server' "
             "reruns a campaign with the --metrics-port HTTP plane up "

@@ -184,16 +184,27 @@ def _execute_vector_batch(
     # then runs over equal shapes instead of broadcasting.
     truth_full = np.repeat(np.stack(truth_rows)[:, None, :], n, axis=1)
     best = _BestTrackers([req.stall_rounds for req in requests])
+    # The stop rule's per-round buffers: |est - truth| and its run maxima.
+    deviation = np.empty_like(truth_full)
+    peak = np.empty(n_runs)
+    err = np.empty(n_runs)
 
     def run_errors() -> np.ndarray:
+        """Every run's error, written into ``err`` (overwritten per call)."""
         est = engine.round_estimates().estimates  # (R, n, d), shared
         with np.errstate(invalid="ignore"):
-            # Max over the run's (n, d) block first, then one divide by
-            # the run scale — the same operation order as vec_error.
-            diff = np.abs(est - truth_full).max(axis=(1, 2))
-        return np.where(np.isnan(diff), np.inf, diff / scales)
+            np.subtract(est, truth_full, out=deviation)
+        np.abs(deviation, out=deviation)
+        # Max over the run's (n, d) block first, then one divide by the
+        # run scale — the same operation order as vec_error.
+        deviation.max(axis=(1, 2), out=peak)
+        np.divide(peak, scales, out=err)
+        # A NaN maximum reads as inf (the divide keeps NaN where it was).
+        np.copyto(err, np.inf, where=np.isnan(peak))
+        return err
 
     def stop(eng: BatchedEngine, round_index: int) -> np.ndarray:
+        # Read-only, and replaced rather than written by the engine.
         active = eng.last_round_active
         err = run_errors()
         stalled = best.observe(err, round_index, active)
@@ -203,7 +214,7 @@ def _execute_vector_batch(
 
     rounds = engine.run_rounds
     est_all = engine.estimates()
-    final_error = run_errors()
+    final_error = run_errors().copy()
     # _run_vector re-observes the frozen state at rounds - 1.
     best.observe(final_error, rounds - 1, np.ones(n_runs, dtype=bool))
     converged = final_error <= epsilons

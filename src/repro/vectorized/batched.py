@@ -37,6 +37,12 @@ Per-run features on top of the stacked kernels:
   (e.g. converged) runs stop sending while the rest of the batch keeps
   going, freezing their state at the retirement round.
 
+Who sends on which slots changes only when a run retires, a topology
+delta applies or a link failure sets in or is handled, so the engine
+keeps a round plan (:class:`_RoundPlan`) and rebuilds it only then; every
+round's messages are assembled from the current plan. Loss-free native
+runs draw their slot uniforms a block of rounds at a time.
+
 :class:`BatchedErrorHistory` and :class:`BatchedMassProbe` are the
 whole-batch equivalents of :class:`repro.metrics.history.ErrorHistory`
 and :class:`repro.telemetry.probes.MassConservationProbe`, so the
@@ -71,6 +77,11 @@ BatchStopCondition = Callable[
 #: before the stop condition; batched observers record their series here.
 BatchRoundHook = Callable[["BatchedEngine", int], None]
 
+#: Byte budget of the slot-draw block: every native run owns ``B`` rows of
+#: ``n`` uniforms in one ``(native runs, B, n)`` array, with ``B`` the
+#: largest count (at least 1) that keeps the array within this budget.
+_DRAW_BLOCK_BYTES = 1 << 18
+
 
 @dataclasses.dataclass
 class BatchedRun:
@@ -81,6 +92,10 @@ class BatchedRun:
     weights: np.ndarray
     #: Seed material for this run's private stream — anything
     #: ``np.random.default_rng`` accepts (Generator, SeedSequence, int).
+    #: The engine owns the resulting generator: two runs may not share one
+    #: (``ConfigurationError``), and a loss-free native run draws its slot
+    #: uniforms a block of rounds ahead, so the engine may draw up to one
+    #: block past the run's retirement.
     rng: Union[np.random.Generator, np.random.SeedSequence, int, None] = None
     loss_probability: float = 0.0
     #: Scripted ``(rounds, n)`` targets (-1 = silent), or None for the
@@ -118,6 +133,41 @@ class RoundEstimates(NamedTuple):
     weights: np.ndarray  # (R, n)
     estimates: np.ndarray  # (R, n, d): values / weights
     node_alive: np.ndarray  # (R, n)
+
+
+class _RoundPlan(NamedTuple):
+    """What every round repeats until who sends, on which slots, or
+    whether a message is blocked changes.
+
+    Built by :meth:`BatchedEngine._build_plan` and kept while
+    ``version`` equals the engine's plan version, which retirement,
+    topology deltas and link-failure onset and handling bump.
+    """
+
+    version: int
+    active: np.ndarray  # active run ids, ascending
+    active_mask: np.ndarray  # (R,) read-only
+    all_active: bool
+    #: (generator, its (B, n) draw block) per active native run: loss-free
+    #: runs fill the whole block every B rounds, lossy runs one row a round.
+    block_fills: Tuple[Tuple[np.random.Generator, np.ndarray], ...]
+    row_fills: Tuple[Tuple[np.random.Generator, np.ndarray], ...]
+    #: Position of each sending native node in a round's (native runs × n)
+    #: draw slab; None when the slab is exactly the senders.
+    pick: Optional[np.ndarray]
+    degrees: np.ndarray  # live degree of each native sender (float64)
+    senders: np.ndarray  # native senders (global ids, ascending)
+    #: ``senders * max_degree`` into the live lists, or None while no live
+    #: list was ever cut (the pick is then the slot itself).
+    slot_base: Optional[np.ndarray]
+    run_of: np.ndarray  # senders // n
+    sent: np.ndarray  # (R,) native messages per run and round
+    scripted: Optional[Tuple[np.ndarray, np.ndarray]]  # (runs, script rows)
+    script_end: int  # first round past the shortest active script
+    lossy: np.ndarray  # active runs with message loss
+    delivered: np.ndarray  # read-only all-True mask, long enough for a round
+    blocked: bool  # whether any slot is blocked
+    next_cap: int  # the next round at which a capped run retires, or -1
 
 
 def _stack_topologies(
@@ -200,6 +250,17 @@ class BatchedEngine:
             backend=backend,
         )
         self._rngs = [np.random.default_rng(run.rng) for run in runs]
+        owner: Dict[int, int] = {}
+        for r, rng in enumerate(self._rngs):
+            # default_rng hands a Generator back as is (and wraps a bit
+            # generator without copying it): runs passing the same object
+            # would silently draw from one stream.
+            first = owner.setdefault(id(rng.bit_generator), r)
+            if first != r:
+                raise ConfigurationError(
+                    f"batch runs {first} and {r} share one random generator; "
+                    "give each run its own stream"
+                )
         self._loss = np.array(
             [float(run.loss_probability) for run in runs]
         )
@@ -227,6 +288,13 @@ class BatchedEngine:
         )
         for i, targets in enumerate(scripts):
             self._script[i, : len(targets)] = targets
+        # Slot uniforms of the native runs: run r owns _block[_draw_row[r]],
+        # B rounds of n uniforms; round t reads row t % B of every block.
+        native = np.flatnonzero(self._script_of < 0)
+        self._draw_row = np.full(self._runs, -1, dtype=np.int64)
+        self._draw_row[native] = np.arange(len(native))
+        rows = max(1, _DRAW_BLOCK_BYTES // (8 * n * max(len(native), 1)))
+        self._block = np.empty((len(native), rows, n))
 
         # Schedule-visible neighborhood: live_list[i, :live_degree[i]] are
         # the slots node i may still draw; handled link failures shrink it.
@@ -302,8 +370,17 @@ class BatchedEngine:
         self._messages_sent = np.zeros(self._runs, dtype=np.int64)
         self._messages_delivered = np.zeros(self._runs, dtype=np.int64)
         self._last_active = np.zeros(self._runs, dtype=bool)
+        self._last_active.setflags(write=False)
+        self._all_delivered = np.ones(total, dtype=bool)
+        self._all_delivered.setflags(write=False)
+        # Set once a live list leaves slot order (live_list[i, s] == s).
+        self._lists_cut = False
+        self._plan_version = 0
+        self._plan = self._build_plan()
         self._shared: Optional[RoundEstimates] = None
         self._shared_key = (-1, -1)  # (round, engine state version) cached
+        # (plan version, read-only (R, n) copy of node_alive)
+        self._alive: Tuple[int, Optional[np.ndarray]] = (-1, None)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -336,8 +413,11 @@ class BatchedEngine:
 
     @property
     def last_round_active(self) -> np.ndarray:
-        """Runs that participated in the most recent :meth:`step`."""
-        return self._last_active.copy()
+        """Runs that participated in the most recent :meth:`step`.
+
+        Read-only and shared: a step replaces the array, never writes it.
+        """
+        return self._last_active
 
     @property
     def run_rounds(self) -> np.ndarray:
@@ -370,15 +450,21 @@ class BatchedEngine:
             values, weights = self._engine.shared_estimate_pairs()
             with np.errstate(divide="ignore", invalid="ignore"):
                 estimates = values / weights[:, None]
+            estimates.setflags(write=False)
             runs, n, d = self._runs, self._n, self._d
+            if self._alive[0] != self._plan_version:
+                # Membership only changes with a topology delta, which
+                # moves the plan version; until then one copy serves.
+                alive = self._node_alive.reshape(runs, n).copy()
+                alive.setflags(write=False)
+                self._alive = (self._plan_version, alive)
+            # The pair's views are read-only already.
             self._shared = RoundEstimates(
                 values.reshape(runs, n, d),
                 weights.reshape(runs, n),
                 estimates.reshape(runs, n, d),
-                self._node_alive.reshape(runs, n).copy(),
+                self._alive[1],
             )
-            for part in self._shared:
-                part.setflags(write=False)
             self._shared_key = key
         return self._shared
 
@@ -402,7 +488,11 @@ class BatchedEngine:
                 f"retirement mask must have shape ({self._runs},), "
                 f"got {mask.shape}"
             )
-        self._retired |= mask
+        # Only a newly retired run moves the plan. (count_nonzero is the
+        # cheap reduction on a few bools; this runs after every round.)
+        if np.count_nonzero(mask > self._retired):
+            self._retired |= mask
+            self._plan_version += 1
 
     def step(self) -> None:
         """Execute one synchronous round for every non-retired run."""
@@ -412,14 +502,18 @@ class BatchedEngine:
         # unambiguous (same semantics as the object engine).
         if rnd in self._deltas:
             self._apply_deltas(self._deltas[rnd])
+            self._plan_version += 1
         if rnd in self._fails:
             nodes, slots = self._fails[rnd]
             self._blocked[nodes, slots] = True
             self._perm_dead[nodes, slots] = True
+            self._plan_version += 1
 
-        active = np.flatnonzero(~self._retired)
-        if len(active):
-            senders, slots, delivered = self._assemble(rnd, active)
+        plan = self._plan
+        if plan.version != self._plan_version:
+            plan = self._plan = self._build_plan()
+        if len(plan.active):
+            senders, slots, delivered = self._assemble(plan, rnd)
             if self.phase_timer is not None:
                 t0 = time.perf_counter()
                 self._engine._apply_round(senders, slots, delivered)
@@ -431,100 +525,150 @@ class BatchedEngine:
 
         if rnd in self._handles:
             self._handle_links(*self._handles[rnd])
+            self._plan_version += 1
 
-        self._last_active = ~self._retired
-        self._executed[active] += 1
+        self._last_active = plan.active_mask
+        if plan.all_active:
+            self._executed += 1
+        else:
+            self._executed[plan.active] += 1
         self._round += 1
-        if self._caps is not None:
+        if self._round == plan.next_cap:
             # A capped run retires the instant it has spent its budget, so
             # its frozen state is exactly the single-engine state after
             # max_rounds rounds — callers with mixed budgets can share a
-            # batch without over-running the short ones.
+            # batch without over-running the short ones. Active runs have
+            # all executed every round so far, so only the plan's smallest
+            # active cap can be due.
             self._retired |= (self._caps >= 0) & (self._executed >= self._caps)
+            self._plan_version += 1
+
+    def _build_plan(self) -> _RoundPlan:
+        """The round plan for the current retirement, topology and faults."""
+        n, runs = self._n, self._runs
+        md = self._arrays.max_degree
+        active_mask = ~self._retired
+        active_mask.setflags(write=False)
+        active = np.flatnonzero(active_mask)
+        rows = self._draw_row[active]
+        native, rows = active[rows >= 0], rows[rows >= 0]
+        nodes = (native[:, None] * n + np.arange(n)).ravel()
+        live_deg = self._live_degree[nodes]
+        sending = np.flatnonzero(live_deg > 0)
+        senders = nodes[sending]
+        run_of = senders // n
+        pick = None
+        if len(native) < len(self._block) or len(sending) < len(nodes):
+            pick = (rows[:, None] * n + np.arange(n)).ravel()[sending]
+        lossy_native = self._loss[native] > 0.0
+        fills = [(self._rngs[r], self._block[i]) for r, i in zip(native, rows)]
+        scripted = active[self._script_of[active] >= 0]
+        script_rows = self._script_of[scripted]
+        next_cap = -1
+        if self._caps is not None:
+            caps = self._caps[active]
+            caps = caps[caps >= 0]
+            next_cap = int(caps.min()) if len(caps) else -1
+        return _RoundPlan(
+            version=self._plan_version,
+            active=active,
+            active_mask=active_mask,
+            all_active=len(active) == runs,
+            block_fills=tuple(
+                f for f, lossy in zip(fills, lossy_native) if not lossy
+            ),
+            row_fills=tuple(f for f, lossy in zip(fills, lossy_native) if lossy),
+            pick=pick,
+            degrees=live_deg[sending].astype(np.float64),
+            senders=senders,
+            slot_base=senders * md if self._lists_cut else None,
+            run_of=run_of,
+            sent=np.bincount(run_of, minlength=runs),
+            scripted=(scripted, script_rows) if len(scripted) else None,
+            script_end=int(self._script_len[script_rows].min(initial=2**62)),
+            lossy=active[self._loss[active] > 0.0],
+            delivered=self._all_delivered[: len(active) * n],
+            blocked=bool(self._blocked.any()),
+            next_cap=next_cap,
+        )
 
     def _assemble(
-        self, rnd: int, active: np.ndarray
+        self, plan: _RoundPlan, rnd: int
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """One round's messages for the ``active`` runs, as whole arrays.
+        """One round's messages for the plan's active runs, as whole arrays.
 
         Messages are run-major with ascending senders within a run — the
         order a single-run engine uses, which keeps every run's
         ``np.add.at`` accumulation order, and so its state, bit-for-bit
         identical to running it alone. Each run's generator is drawn in a
-        single engine's order: ``random(n)`` for slot picks on the native
-        schedule, then ``random(k)`` for loss over its ``k`` messages.
-        Updates the per-run message counters.
+        single engine's order: ``n`` uniforms a round for slot picks on the
+        native schedule, then ``random(k)`` for loss over its ``k``
+        messages. A loss-free native run draws ``B`` rounds of slot
+        uniforms in one ``random((B, n))`` call, the same doubles in the
+        same order as ``B`` calls of ``random(n)``; a lossy run's loss
+        draws interleave with its slot draws, so it draws one round at a
+        time. Updates the per-run message counters.
         """
         n = self._n
-        md = self._arrays.max_degree
-        scripted = self._script_of[active] >= 0
-        native = active[~scripted]
-        parts = []
-        if len(native):
-            # One uniform draw per node per round. Failure-free runs have
-            # live_degree == degree and live_list[i, s] == s, so the
-            # chosen slots match the single engine bit-for-bit.
-            draws = np.empty((len(native), n))
-            for row, r in zip(draws, native):
-                self._rngs[r].random(out=row)
-            if len(native) == self._runs:
-                nodes = None  # every node of the batch
-                live_deg = self._live_degree
-            else:
-                nodes = (native[:, None] * n + np.arange(n)).ravel()
-                live_deg = self._live_degree[nodes]
-            # draws * live_deg >= 0, so truncation is the floor.
-            picks = (draws.ravel() * live_deg).astype(np.int64)
-            sending = np.flatnonzero(live_deg > 0)
-            senders = sending if nodes is None else nodes[sending]
-            slots = self._live_list.ravel()[senders * md + picks[sending]]
-            parts.append((senders, slots))
-        if scripted.any():
-            runs = active[scripted]
-            rows = self._script_of[runs]
-            if (self._script_len[rows] <= rnd).any():
+        native = plan.block_fills or plan.row_fills
+        if native:
+            k = rnd % self._block.shape[1]
+            if k == 0:
+                for rng, block in plan.block_fills:
+                    rng.random(out=block)
+            for rng, block in plan.row_fills:
+                rng.random(out=block[k])
+            draws = self._block[:, k].reshape(-1)
+            if plan.pick is not None:
+                draws = draws[plan.pick]
+            # draws * live degree >= 0, so truncation is the floor; uncut
+            # live lists hold slot s at position s, as a single engine's.
+            slots = (draws * plan.degrees).astype(np.int64)
+            if plan.slot_base is not None:
+                slots = self._live_list.ravel()[plan.slot_base + slots]
+            senders, run_of, sent = plan.senders, plan.run_of, plan.sent
+        if plan.scripted is not None:
+            if rnd >= plan.script_end:
                 raise ConfigurationError(
                     f"scripted schedule exhausted at round {rnd}"
                 )
+            runs, rows = plan.scripted
             targets = self._script[rows, rnd]
             run_pos, local = np.nonzero(targets >= 0)
             base = runs[run_pos] * n
-            senders = base + local
-            slots = self._engine._slots_for_targets(
-                senders, targets[run_pos, local] + base
+            script_senders = base + local
+            script_slots = self._engine._slots_for_targets(
+                script_senders, targets[run_pos, local] + base
             )
-            parts.append((senders, slots))
-        if len(parts) == 1:
-            senders, slots = parts[0]
-        else:
-            senders = np.concatenate([p[0] for p in parts])
-            order = np.argsort(senders, kind="stable")
-            senders = senders[order]
-            slots = np.concatenate([p[1] for p in parts])[order]
+            if native:
+                senders = np.concatenate((senders, script_senders))
+                order = np.argsort(senders, kind="stable")
+                senders = senders[order]
+                slots = np.concatenate((slots, script_slots))[order]
+            else:
+                senders, slots = script_senders, script_slots
+            run_of = senders // n
+            sent = np.bincount(run_of, minlength=self._runs)
 
-        run_of = senders // n
-        lossy = active[self._loss[active] > 0.0]
-        if len(lossy):
+        if len(plan.lossy):
             # Loss-free runs compare 0.0 >= 0.0 and always deliver.
             uniform = np.zeros(len(senders))
-            starts = np.searchsorted(senders, lossy * n)
-            ends = np.searchsorted(senders, lossy * n + n)
-            for r, lo, hi in zip(lossy, starts, ends):
+            starts = np.searchsorted(senders, plan.lossy * n)
+            ends = np.searchsorted(senders, plan.lossy * n + n)
+            for r, lo, hi in zip(plan.lossy, starts, ends):
                 self._rngs[r].random(out=uniform[lo:hi])
             delivered = uniform >= self._loss[run_of]
         else:
-            delivered = np.ones(len(senders), dtype=bool)
-        if self._blocked.any():
+            delivered = plan.delivered[: len(senders)]
+        if plan.blocked:
             # Physically dead links swallow the message in transport; the
             # sender still spent its round on it (object-engine semantics).
-            delivered &= ~self._blocked.ravel()[senders * md + slots]
-        sent = np.bincount(run_of, minlength=self._runs)
+            md = self._arrays.max_degree
+            delivered = delivered & ~self._blocked.ravel()[senders * md + slots]
         self._messages_sent += sent
-        self._messages_delivered += (
-            sent
-            if delivered.all()
-            else np.bincount(run_of[delivered], minlength=self._runs)
-        )
+        if (len(plan.lossy) or plan.blocked) and not delivered.all():
+            sent = np.bincount(run_of[delivered], minlength=self._runs)
+        self._messages_delivered += sent
         return senders, slots, delivered
 
     def _handle_links(self, nodes: np.ndarray, slots: np.ndarray) -> None:
@@ -684,6 +828,7 @@ class BatchedEngine:
     _APPLY = (_edges_down, _edges_up, _nodes_leave, _nodes_join)
 
     def _recompute_live(self, rows: np.ndarray) -> None:
+        self._lists_cut = True
         alive = self._slot_alive[rows]
         degree = alive.sum(axis=1)
         self._live_degree[rows] = degree
@@ -715,7 +860,7 @@ class BatchedEngine:
             )
         start = self._executed.copy()
         executed = 0
-        while executed < max_rounds and not self._retired.all():
+        while executed < max_rounds and np.count_nonzero(self._retired) < self._runs:
             self.step()
             executed += 1
             if on_round is not None:

@@ -18,6 +18,7 @@ from repro.faults.events import LinkFailure
 from repro.simulation.observers import Observer
 from repro.simulation.schedule import UniformGossipSchedule
 from repro.topology import hypercube, ring
+from repro.vectorized import batched as batched_module
 from repro.vectorized.batched import (
     BatchedEngine,
     BatchedErrorHistory,
@@ -802,3 +803,275 @@ class TestPerRunCaps:
                     )
                 ],
             )
+
+
+class TestSharedGenerator:
+    """``default_rng`` returns a Generator as is, so two runs handed one
+    object would draw from one stream and neither would match its run
+    alone."""
+
+    def _runs(self, *rngs):
+        topo = hypercube(3)
+        data = _batch_data(topo, len(rngs), seed=6)
+        return [
+            BatchedRun(
+                topology=topo, values=data[r], weights=np.ones(topo.n), rng=rng
+            )
+            for r, rng in enumerate(rngs)
+        ]
+
+    def test_runs_sharing_a_generator_rejected(self):
+        shared = np.random.default_rng(5)
+        with pytest.raises(ConfigurationError, match="runs 0 and 1 share"):
+            BatchedEngine("push_flow", self._runs(shared, shared))
+
+    def test_runs_sharing_a_bit_generator_rejected(self):
+        bits = np.random.PCG64(5)
+        runs = self._runs(1, bits, np.random.Generator(bits))
+        with pytest.raises(ConfigurationError, match="runs 1 and 2 share"):
+            BatchedEngine("push_flow", runs)
+
+    def test_equal_seeds_draw_separate_streams(self):
+        runs = self._runs(5, 5)
+        batch = BatchedEngine("push_flow", runs)
+        batch.run(30)
+        for r, run in enumerate(runs):
+            single = vector_engine_for("push_flow")(
+                run.topology, run.values, run.weights, seed=5
+            )
+            single.run(30)
+            assert batch.estimates()[r].tobytes() == single.estimates().tobytes()
+
+
+#: Rounds of slot uniforms per draw block in the block-draw tests.
+BLOCK_ROWS = 4
+
+
+@pytest.fixture
+def small_blocks(monkeypatch):
+    """A draw budget of BLOCK_ROWS rounds per native run of an n = 16 batch
+    of ``native`` native runs (a batch of fewer gets longer blocks)."""
+
+    def set_budget(native):
+        monkeypatch.setattr(
+            batched_module, "_DRAW_BLOCK_BYTES", BLOCK_ROWS * 8 * 16 * native
+        )
+
+    return set_budget
+
+
+def _retire_at(rounds_by_run, runs):
+    """A stop rule retiring run ``r`` after round ``rounds_by_run[r]``."""
+
+    def stop(engine, round_index):
+        mask = np.zeros(runs, dtype=bool)
+        for r, last in rounds_by_run.items():
+            mask[r] = round_index == last
+        return mask
+
+    return stop
+
+
+def _recorded(engine, rounds, stop_when=None):
+    """Run ``engine`` and return its state after every executed round:
+    estimate-pair bytes and message counters, per run."""
+    series = []
+
+    def record(eng, round_index):
+        values, weights = eng.estimate_pairs()
+        series.append(
+            [
+                (
+                    values[r].tobytes(),
+                    weights[r].tobytes(),
+                    int(eng.messages_sent[r]),
+                    int(eng.messages_delivered[r]),
+                )
+                for r in range(eng.n_runs)
+            ]
+        )
+
+    engine.run(rounds, stop_when=stop_when, on_round=record)
+    return series
+
+
+def _single_series(algorithm, run, rounds):
+    """The same per-round record from the single-run engine."""
+    single = vector_engine_for(algorithm)(
+        run.topology,
+        run.values,
+        run.weights,
+        seed=run.rng,
+        loss_probability=run.loss_probability,
+        targets=run.targets,
+    )
+    series = []
+    for _ in range(rounds):
+        single.step()
+        values, weights = single.estimate_pairs()
+        series.append(
+            (
+                values.tobytes(),
+                weights.tobytes(),
+                single.messages_sent,
+                single.messages_delivered,
+            )
+        )
+    return series
+
+
+def _assert_runs_match_alone(algorithm, mixed, series, runs, stops, rounds):
+    """Every run of ``mixed`` matches a batch of one round by round and
+    stays frozen after it retires."""
+    for r, run in enumerate(runs):
+        executed = int(mixed.run_rounds[r])
+        stop = None if r not in stops else _retire_at({0: stops[r]}, 1)
+        alone = _recorded(BatchedEngine(algorithm, [run]), rounds, stop)
+        assert len(alone) == executed
+        assert [row[r] for row in series[:executed]] == [
+            row[0] for row in alone
+        ]
+        assert all(row[r] == series[executed - 1][r] for row in series[executed:])
+
+
+class TestBlockDraws:
+    """Loss-free native runs draw their slot uniforms a block of rounds at
+    a time, lossy and scripted runs one round at a time; every run still
+    matches a batch of one and the single-run engine, round by round."""
+
+    ROUNDS = 20
+    RETIRE = 9  # stop-rule retirement of run 0: after 10 rounds
+    CAP = 7
+
+    def _runs(self):
+        cube = hypercube(4)
+        data = _batch_data(cube, 5, seed=23)
+        ones = np.ones(cube.n)
+        script = materialize_schedule(
+            UniformGossipSchedule(cube.n, 3), cube, self.ROUNDS
+        )
+        return [
+            BatchedRun(topology=cube, values=data[0], weights=ones, rng=11),
+            BatchedRun(
+                topology=cube,
+                values=data[1],
+                weights=ones,
+                rng=12,
+                loss_probability=0.2,
+            ),
+            BatchedRun(topology=cube, values=data[2], weights=ones, targets=script),
+            BatchedRun(
+                topology=cube,
+                values=data[3],
+                weights=ones,
+                rng=14,
+                max_rounds=self.CAP,
+            ),
+            BatchedRun(topology=cube, values=data[4], weights=ones, rng=15),
+        ]
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_runs_match_a_batch_of_one_and_the_single_engine(
+        self, algorithm, small_blocks
+    ):
+        small_blocks(native=4)
+        runs = self._runs()
+        mixed = BatchedEngine(algorithm, runs)
+        assert mixed._block.shape[1] == BLOCK_ROWS
+        # Run 0 retires mid-block, after at least two block boundaries.
+        assert self.RETIRE + 1 > 2 * BLOCK_ROWS
+        assert (self.RETIRE + 1) % BLOCK_ROWS and self.CAP % BLOCK_ROWS
+        series = _recorded(
+            mixed, self.ROUNDS, _retire_at({0: self.RETIRE}, len(runs))
+        )
+        assert mixed.run_rounds.tolist() == [
+            self.RETIRE + 1,
+            self.ROUNDS,
+            self.ROUNDS,
+            self.CAP,
+            self.ROUNDS,
+        ]
+        _assert_runs_match_alone(
+            algorithm, mixed, series, runs, {0: self.RETIRE}, self.ROUNDS
+        )
+        for r, run in enumerate(runs):
+            executed = int(mixed.run_rounds[r])
+            assert [row[r] for row in series[:executed]] == _single_series(
+                algorithm, run, executed
+            )
+
+
+class _Replanned(BatchedEngine):
+    """Rebuilds its round plan every round: the cache-free reference."""
+
+    def step(self) -> None:
+        self._plan_version += 1
+        super().step()
+
+
+class TestPlanInvalidation:
+    """A churn delta, a link failure's onset and detection, a cap and a
+    stop-rule retirement, each landing mid-block, must reach the round
+    plan: the batch matches one that rebuilds its plan every round, and
+    each run matches a batch of one."""
+
+    ROUNDS = 24
+    RETIRE = 14
+
+    def _runs(self):
+        cube = hypercube(4)
+        data = _batch_data(cube, 5, seed=29)
+        ones = np.ones(cube.n)
+        churn = scripted_churn([(6, "leave", 3), (13, "join", 3)])
+        return [
+            BatchedRun(
+                topology=cube,
+                values=data[0],
+                weights=ones,
+                rng=21,
+                topology_schedule=churn,
+            ),
+            BatchedRun(
+                topology=cube,
+                values=data[1],
+                weights=ones,
+                rng=22,
+                link_failures=(
+                    LinkFailure(round=2, u=0, v=1, detection_delay=5),
+                ),
+            ),
+            BatchedRun(
+                topology=cube, values=data[2], weights=ones, rng=23, max_rounds=10
+            ),
+            BatchedRun(topology=cube, values=data[3], weights=ones, rng=24),
+            BatchedRun(
+                topology=cube,
+                values=data[4],
+                weights=ones,
+                rng=25,
+                loss_probability=0.1,
+            ),
+        ]
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_cached_plan_matches_a_fresh_plan_every_round(
+        self, algorithm, small_blocks
+    ):
+        small_blocks(native=5)
+        stops = {3: self.RETIRE}
+        mixed = BatchedEngine(algorithm, self._runs())
+        assert mixed._block.shape[1] == BLOCK_ROWS
+        # Delta (6, 13), onset (2), detection (7), cap (10) and retirement
+        # (after round 14) all fall inside a block.
+        for event in (6, 13, 2, 7, 10, self.RETIRE + 1):
+            assert event % BLOCK_ROWS
+        series = _recorded(mixed, self.ROUNDS, _retire_at(stops, 5))
+        fresh = _Replanned(algorithm, self._runs())
+        assert _recorded(fresh, self.ROUNDS, _retire_at(stops, 5)) == series
+        assert mixed.run_rounds.tolist() == [24, 24, 10, self.RETIRE + 1, 24]
+        assert fresh.run_rounds.tolist() == mixed.run_rounds.tolist()
+        # The link failure swallowed messages between onset and detection.
+        assert mixed.messages_delivered[1] < mixed.messages_sent[1]
+        _assert_runs_match_alone(
+            algorithm, mixed, series, self._runs(), stops, self.ROUNDS
+        )
