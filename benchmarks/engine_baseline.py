@@ -22,8 +22,12 @@ probes):
   per-message hook dispatch and phase timing on unsampled rounds, which
   is what keeps this slowdown within the CI-gated 1.5× budget.
 
-A ``batched-r1`` entry per size runs the vector entry's run as a
-``BatchedEngine`` batch of one, in chunks alternating with the single-run
+The six engines of one size (sync and vector; plain, full and sampled
+telemetry) are timed side by side: they run alternating chunks and each
+keeps its fastest chunk (:func:`fastest_chunks`), so the gated ratios —
+vector/sync and the sampled slowdown — compare engines timed under the
+same load. A ``batched-r1`` entry per size runs the vector entry's run as
+a ``BatchedEngine`` batch of one the same way, against the single-run
 engine, and records its round time over the single-run engine's
 (informational, no gate).
 
@@ -83,8 +87,9 @@ GROUPS_ALGORITHMS = (
     "push_cancel_flow",
     "push_cancel_flow_hardened",
 )
-#: Rounds per timed chunk of the batched-r1 entry.
-R1_CHUNK = 64
+#: Target wall time of one timed chunk of the sync, vector and batched-r1
+#: entries.
+CHUNK_SECONDS = 0.02
 
 
 def _telemetry_observers(sampler=None):
@@ -274,29 +279,59 @@ def rounds_per_sec(factory, min_seconds: float = MIN_SECONDS) -> dict:
     }
 
 
-def round_ratio(single, batch, min_seconds: float = MIN_SECONDS) -> dict:
-    """Round times of a single-run engine and a batch of one, compared.
+def fastest_chunks(engines, min_seconds: float = MIN_SECONDS):
+    """Time engines side by side; one ``{rounds, seconds, rounds_per_sec}``
+    record per engine, of its fastest chunk.
 
-    The two run alternating ``R1_CHUNK``-round chunks until each has run
-    ``min_seconds``; each keeps its fastest chunk, so a burst of load on a
-    shared box slows one chunk rather than one side.
+    The engines run alternating chunks until each has run ``min_seconds``;
+    each keeps its fastest chunk, so a burst of load on a shared box slows
+    one chunk rather than one engine. An engine's chunk is the multiple of
+    ``DEFAULT_SAMPLE_EVERY`` rounds nearest ``CHUNK_SECONDS`` after a
+    warm-up (every chunk then samples the same number of rounds).
     """
-    best = [float("inf"), float("inf")]
-    spent = [0.0, 0.0]
-    for engine in (single, batch):
+    sizes = []
+    for engine in engines:
+        t0 = time.perf_counter()
         engine.run(16)  # warm-up (allocations, first-touch)
+        per_round = (time.perf_counter() - t0) / 16
+        step = DEFAULT_SAMPLE_EVERY
+        sizes.append(max(step, step * round(CHUNK_SECONDS / per_round / step)))
+    best = [float("inf")] * len(engines)
+    spent = [0.0] * len(engines)
     while min(spent) < min_seconds:
-        for side, engine in enumerate((single, batch)):
+        for i, engine in enumerate(engines):
             t0 = time.perf_counter()
-            engine.run(R1_CHUNK)
+            engine.run(sizes[i])
             elapsed = time.perf_counter() - t0
-            best[side] = min(best[side], elapsed)
-            spent[side] += elapsed
+            best[i] = min(best[i], elapsed)
+            spent[i] += elapsed
+    return [
+        {
+            "rounds": size,
+            "seconds": round(seconds, 6),
+            "rounds_per_sec": round(size / seconds, 2),
+        }
+        for size, seconds in zip(sizes, best)
+    ]
+
+
+def round_ratio(single, batch, min_seconds: float = MIN_SECONDS) -> dict:
+    """Round times of a single-run engine and a batch of one, compared
+    side by side (:func:`fastest_chunks`)."""
+    vector, batched = fastest_chunks([single, batch], min_seconds)
     return {
-        "rounds_per_sec": round(R1_CHUNK / best[1], 2),
-        "vector_rounds_per_sec": round(R1_CHUNK / best[0], 2),
-        "round_time_vs_vector": round(best[1] / best[0], 3),
+        "rounds_per_sec": batched["rounds_per_sec"],
+        "vector_rounds_per_sec": vector["rounds_per_sec"],
+        "round_time_vs_vector": round(
+            vector["rounds_per_sec"] / batched["rounds_per_sec"], 3
+        ),
     }
+
+
+def _slowdown(plain: dict, observed: dict) -> float:
+    return round(
+        plain["rounds_per_sec"] / max(observed["rounds_per_sec"], 1e-9), 3
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -329,22 +364,27 @@ def main(argv=None) -> int:
     output = args.json_path or args.output or "BENCH_engine.json"
     sizes = SIZES[:1] if args.quick else SIZES
     min_seconds = 0.1 if args.quick else MIN_SECONDS
-    entries = []
-    for kind, factory in (("sync", _sync_engine), ("vector", _vector_engine)):
-        for n in sizes:
-            plain = rounds_per_sec(lambda: factory(n), min_seconds)
-            observed = rounds_per_sec(
-                lambda: factory(n, observers=_telemetry_observers()), min_seconds
-            )
-            sampled = rounds_per_sec(
-                lambda: factory(
-                    n,
-                    observers=_telemetry_observers(
-                        RoundSampler(every=DEFAULT_SAMPLE_EVERY)
-                    ),
+    kinds = (("sync", _sync_engine), ("vector", _vector_engine))
+    timed = {}
+    for n in sizes:
+        engines = [
+            factory(n, observers=observers())
+            for _, factory in kinds
+            for observers in (
+                lambda: (),
+                _telemetry_observers,
+                lambda: _telemetry_observers(
+                    RoundSampler(every=DEFAULT_SAMPLE_EVERY)
                 ),
-                min_seconds,
             )
+        ]
+        records = fastest_chunks(engines, min_seconds)
+        for k, (kind, _) in enumerate(kinds):
+            timed[kind, n] = records[3 * k : 3 * k + 3]
+    entries = []
+    for kind, _ in kinds:
+        for n in sizes:
+            plain, observed, sampled = timed[kind, n]
             entries.append(
                 {
                     "engine": kind,
@@ -353,20 +393,12 @@ def main(argv=None) -> int:
                     **plain,
                     "overhead": {
                         "telemetry_rounds_per_sec": observed["rounds_per_sec"],
-                        "slowdown": round(
-                            plain["rounds_per_sec"]
-                            / max(observed["rounds_per_sec"], 1e-9),
-                            3,
-                        ),
+                        "slowdown": _slowdown(plain, observed),
                     },
                     "overhead_sampled": {
                         "sample_every": DEFAULT_SAMPLE_EVERY,
                         "telemetry_rounds_per_sec": sampled["rounds_per_sec"],
-                        "slowdown": round(
-                            plain["rounds_per_sec"]
-                            / max(sampled["rounds_per_sec"], 1e-9),
-                            3,
-                        ),
+                        "slowdown": _slowdown(plain, sampled),
                     },
                 }
             )
@@ -473,12 +505,16 @@ def main(argv=None) -> int:
             "rounds/sec with no observers attached; 'overhead' shows the "
             "same engine with a full telemetry observer set, "
             "'overhead_sampled' the default-on sampled configuration "
-            "(one round in DEFAULT_SAMPLE_EVERY). The 'batched' entries "
+            "(one round in DEFAULT_SAMPLE_EVERY). The six sync and vector "
+            "engines of one n run alternating chunks of about "
+            "CHUNK_SECONDS each; rounds and seconds are the engine's "
+            "fastest chunk. The 'batched' entries "
             "run a whole seed axis as one whole-array program, once per "
             "available kernel backend; speedup_vs_sequential_sync is a "
             "same-machine ratio against the object engine (CI gates the "
             "numpy entry; numba and batched-groups are informational). "
-            "'batched-r1' times the vector entry's run as a batch of one; "
+            "'batched-r1' times the vector entry's run as a batch of one, "
+            "side by side with the single-run engine in the same chunks; "
             "round_time_vs_vector is its round time over the single-run "
             "engine's (informational). "
             "The 'batched-groups' entry runs a four-algorithm campaign "

@@ -46,6 +46,8 @@ import numpy as np
 from repro.algorithms.aggregates import (
     AggregateKind,
     initial_mass_pairs,
+    initial_values,
+    initial_weights,
     true_aggregate,
 )
 from repro.algorithms.registry import instantiate
@@ -448,7 +450,6 @@ def _execute_cells_batched(
             )
         data = _make_data(data_kind, n, _stream_seed(data_stream))
         truths.append(float(true_aggregate(kind, list(data))))
-        initial = initial_mass_pairs(kind, list(data))
         loss, links = _vector_fault_params(cell["fault"])  # type: ignore[arg-type]
         # Same fault-stream seed as the object path, so a dynamic cell
         # builds the identical topology schedule on either engine.
@@ -471,8 +472,9 @@ def _execute_cells_batched(
         runs.append(
             BatchedRun(
                 topology=topology,
-                values=np.array([float(p.value) for p in initial]),
-                weights=np.array([float(p.weight) for p in initial]),
+                # The object path's initial mass pairs, as arrays.
+                values=np.array(initial_values(kind, list(data))),
+                weights=np.array(initial_weights(kind, n)),
                 rng=np.random.default_rng(sched_stream),
                 loss_probability=loss,
                 link_failures=tuple(links),

@@ -27,16 +27,30 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.dynamics.schedule import TopologyDelta, TopologySchedule
+from repro.dynamics.schedule import (
+    EDGE_DOWN,
+    EDGE_UP,
+    NODE_JOIN,
+    NODE_LEAVE,
+    TopologySchedule,
+)
 from repro.exceptions import ConfigurationError
 from repro.topology.base import Topology
 
 ChurnEvent = Tuple[int, str, int]  # (round, "leave"|"join", node)
 
 
+def _from_rows(
+    rows: Sequence[Tuple[int, int, int, int, int]], labels: Sequence[str]
+) -> TopologySchedule:
+    """A schedule from ``(round, kind, a, b, label id)`` rows."""
+    columns = np.array(rows, dtype=np.int64).reshape(-1, 5).T
+    return TopologySchedule.from_columns(*columns, labels)
+
+
 def scripted_churn(events: Iterable[ChurnEvent]) -> TopologySchedule:
     """Churn from an explicit event list of ``(round, action, node)``."""
-    deltas: List[TopologyDelta] = []
+    rows = []
     for event in events:
         if len(event) != 3:
             raise ConfigurationError(
@@ -47,13 +61,9 @@ def scripted_churn(events: Iterable[ChurnEvent]) -> TopologySchedule:
             raise ConfigurationError(
                 f"churn action must be 'leave' or 'join', got {action!r}"
             )
-        kind = "node_leave" if action == "leave" else "node_join"
-        deltas.append(
-            TopologyDelta(
-                round=int(round_index), kind=kind, node=int(node), label="churn"
-            )
-        )
-    return TopologySchedule(deltas)
+        kind = NODE_LEAVE if action == "leave" else NODE_JOIN
+        rows.append((int(round_index), kind, int(node), -1, 0))
+    return _from_rows(rows, ("churn",))
 
 
 def poisson_churn(
@@ -87,37 +97,20 @@ def poisson_churn(
     min_live = max(1, int(math.ceil(min_live_fraction * n)))
     rng = np.random.default_rng(seed)
     departed: List[int] = []  # insertion-ordered for determinism
-    deltas: List[TopologyDelta] = []
+    rows = []
+    # A round draws its toggle count, then one node per toggle: the draws
+    # interleave, so the rounds run one after another.
     for round_index in range(start, end):
         for _ in range(int(rng.poisson(rate))):
             node = int(rng.integers(n))
             if node in departed:
                 departed.remove(node)
-                deltas.append(
-                    TopologyDelta(
-                        round=round_index,
-                        kind="node_join",
-                        node=node,
-                        label="churn",
-                    )
-                )
+                rows.append((round_index, NODE_JOIN, node, -1, 0))
             elif n - len(departed) - 1 >= min_live:
                 departed.append(node)
-                deltas.append(
-                    TopologyDelta(
-                        round=round_index,
-                        kind="node_leave",
-                        node=node,
-                        label="churn",
-                    )
-                )
-    for node in departed:
-        deltas.append(
-            TopologyDelta(
-                round=end, kind="node_join", node=node, label="churn-heal"
-            )
-        )
-    return TopologySchedule(deltas)
+                rows.append((round_index, NODE_LEAVE, node, -1, 0))
+    rows.extend((end, NODE_JOIN, node, -1, 1) for node in departed)
+    return _from_rows(rows, ("churn", "churn-heal"))
 
 
 def partition_and_heal(
@@ -148,24 +141,20 @@ def partition_and_heal(
     n = topology.n
     side_size = min(max(int(fraction * n + 0.5), 1), n - 1)
     rng = np.random.default_rng(seed)
-    side = set(int(i) for i in rng.permutation(n)[:side_size])
-    cut = [
-        (u, v)
-        for u, v in topology.edges
-        if (u in side) != (v in side)
-    ]
-    deltas = [
-        TopologyDelta(round=round, kind="edge_down", edge=edge, label="partition")
-        for edge in cut
-    ]
-    if heal_round is not None:
-        deltas.extend(
-            TopologyDelta(
-                round=heal_round, kind="edge_up", edge=edge, label="heal"
-            )
-            for edge in cut
-        )
-    return TopologySchedule(deltas)
+    side = np.zeros(n, dtype=bool)
+    side[rng.permutation(n)[:side_size]] = True
+    edges = topology.edge_array()
+    cut = edges[side[edges[:, 0]] != side[edges[:, 1]]]  # in edge order
+    rounds = [round] if heal_round is None else [round, heal_round]
+    phases = len(rounds)
+    return TopologySchedule.from_columns(
+        np.repeat(rounds, len(cut)),
+        np.repeat([EDGE_DOWN, EDGE_UP][:phases], len(cut)),
+        np.tile(cut[:, 0], phases),
+        np.tile(cut[:, 1], phases),
+        np.repeat(np.arange(phases), len(cut)),
+        ("partition", "heal"),
+    )
 
 
 def regional_outage(
@@ -200,20 +189,15 @@ def regional_outage(
         raise ConfigurationError(
             f"region must be in [0, {region_count}), got {region}"
         )
-    lo = region * n // region_count
-    hi = (region + 1) * n // region_count
-    nodes = range(lo, hi)
-    deltas = [
-        TopologyDelta(round=round, kind="node_leave", node=i, label="outage")
-        for i in nodes
-    ]
-    deltas.extend(
-        TopologyDelta(
-            round=round + duration, kind="node_join", node=i, label="restore"
-        )
-        for i in nodes
+    nodes = np.arange(region * n // region_count, (region + 1) * n // region_count)
+    return TopologySchedule.from_columns(
+        np.repeat([round, round + duration], len(nodes)),
+        np.repeat([NODE_LEAVE, NODE_JOIN], len(nodes)),
+        np.tile(nodes, 2),
+        -1,
+        np.repeat([0, 1], len(nodes)),
+        ("outage", "restore"),
     )
-    return TopologySchedule(deltas)
 
 
 def random_edge_flaps(
@@ -242,7 +226,7 @@ def random_edge_flaps(
     edges: Sequence[Tuple[int, int]] = topology.edges
     rng = np.random.default_rng(seed)
     down_until: dict = {}
-    deltas: List[TopologyDelta] = []
+    rows = []
     for round_index in range(start, end):
         for edge, up_round in list(down_until.items()):
             if up_round == round_index:
@@ -252,17 +236,6 @@ def random_edge_flaps(
             if edge in down_until:
                 continue
             down_until[edge] = round_index + duration
-            deltas.append(
-                TopologyDelta(
-                    round=round_index, kind="edge_down", edge=edge, label="flap"
-                )
-            )
-            deltas.append(
-                TopologyDelta(
-                    round=round_index + duration,
-                    kind="edge_up",
-                    edge=edge,
-                    label="flap",
-                )
-            )
-    return TopologySchedule(deltas)
+            rows.append((round_index, EDGE_DOWN, *edge, 0))
+            rows.append((round_index + duration, EDGE_UP, *edge, 0))
+    return _from_rows(rows, ("flap",))

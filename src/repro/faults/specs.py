@@ -469,24 +469,35 @@ def build_topology_schedule(
     object and batched campaign paths construct identical schedules for the
     same cell seed.
     """
-    from repro.dynamics.schedule import TopologySchedule
-
     normalized = validate_fault_spec(spec)
     parts = normalized.get("compose") or [normalized]
     seeds = _part_seeds(seed, len(parts))
-    deltas = []
+    schedules = []
     for index, part in enumerate(parts):
         if part["kind"] in DYNAMIC_FAULT_KINDS:
-            schedule = _build_dynamic_part(
-                part, topology, seeds[index], horizon, f"fault {normalized['name']!r}"
+            schedules.append(
+                _build_dynamic_part(
+                    part,
+                    topology,
+                    seeds[index],
+                    horizon,
+                    f"fault {normalized['name']!r}",
+                )
             )
-            deltas.extend(schedule.deltas)
         elif part["kind"] == "trace":
             from repro.dynamics.trace import load_trace, replay_from_trace
 
             replay = replay_from_trace(load_trace(str(part["path"])))
-            deltas.extend(replay.topology_schedule.deltas)
-    return TopologySchedule(deltas) if deltas else None
+            schedules.append(replay.topology_schedule)
+    return _joined_schedule(schedules)
+
+
+def _joined_schedule(schedules: List[object]) -> Optional[object]:
+    """The parts' topology schedules as one (None when no part has events)."""
+    from repro.dynamics.schedule import TopologySchedule
+
+    joined = TopologySchedule.join(schedules)  # type: ignore[arg-type]
+    return None if joined.is_empty() else joined
 
 
 def build_faults(
@@ -510,7 +521,7 @@ def build_faults(
     link_failures: List[LinkFailure] = []
     node_failures: List[NodeFailure] = []
     observers: List[object] = []
-    dynamic_deltas: List[object] = []
+    schedules: List[object] = []
     for index, part in enumerate(parts):
         kind = part["kind"]
         part_seed = seeds[index]
@@ -522,14 +533,15 @@ def build_faults(
                     f"fault kind {kind!r} needs a topology at build time "
                     "(pass build_faults(..., topology=...))"
                 )
-            schedule = _build_dynamic_part(
-                part,
-                topology,
-                part_seed,
-                horizon,
-                f"fault {normalized['name']!r}",
+            schedules.append(
+                _build_dynamic_part(
+                    part,
+                    topology,
+                    part_seed,
+                    horizon,
+                    f"fault {normalized['name']!r}",
+                )
             )
-            dynamic_deltas.extend(schedule.deltas)
         elif kind == "trace":
             from repro.dynamics.trace import load_trace, replay_from_trace
 
@@ -538,7 +550,7 @@ def build_faults(
                 message_faults.append(replay.message_fault)
             link_failures.extend(replay.fault_plan.link_failures)
             node_failures.extend(replay.fault_plan.node_failures)
-            dynamic_deltas.extend(replay.topology_schedule.deltas)
+            schedules.append(replay.topology_schedule)
         elif kind == "message_loss":
             message_faults.append(IidMessageLoss(part["rate"], seed=part_seed))
         elif kind == "burst_loss":
@@ -590,12 +602,9 @@ def build_faults(
     else:
         message_fault = CompositeFault(message_faults)
     plan = FaultPlan(link_failures=link_failures, node_failures=node_failures)
-    topology_schedule = None
+    topology_schedule = _joined_schedule(schedules)
     dynamics_meta = None
-    if dynamic_deltas:
-        from repro.dynamics.schedule import TopologySchedule
-
-        topology_schedule = TopologySchedule(dynamic_deltas)
+    if topology_schedule is not None:
         dynamics_meta = topology_schedule.meta()
     handle_rounds = [lf.handle_round for lf in link_failures]
     handle_rounds += [nf.handle_round for nf in node_failures]

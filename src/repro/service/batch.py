@@ -11,7 +11,9 @@ adds is the single-run stop rule of :func:`repro.reduction._run_vector`,
 applied to R runs at once:
 
 - per-run accuracy oracle ``max|est - truth| / error_scale`` with the
-  same max-then-divide order, a NaN maximum reading as inf;
+  same max-then-divide order, a NaN maximum reading as inf
+  (:class:`~repro.vectorized.batched.RunErrors`, shared with the batched
+  error history);
 - the one stop rule, whose only state is each run's best error and best
   round (:class:`_BestTrackers`, the R-run form of
   ``repro.reduction._BestTracker``): a run stops once converged, or
@@ -45,7 +47,7 @@ from repro.linalg.reduction_service import (
 )
 from repro.reduction import default_round_cap, run_reduction
 from repro.service.jobs import ExecRequest, ExecResult
-from repro.vectorized.batched import BatchedEngine, BatchedRun
+from repro.vectorized.batched import BatchedEngine, BatchedRun, RunErrors
 
 
 def execute_group(
@@ -180,28 +182,15 @@ def _execute_vector_batch(
     engine = BatchedEngine(
         requests[0].algorithm, runs, backend=kernel_backend
     )
-    # Each run's truth repeated over its nodes: the subtraction below
-    # then runs over equal shapes instead of broadcasting.
-    truth_full = np.repeat(np.stack(truth_rows)[:, None, :], n, axis=1)
     best = _BestTrackers([req.stall_rounds for req in requests])
-    # The stop rule's per-round buffers: |est - truth| and its run maxima.
-    deviation = np.empty_like(truth_full)
-    peak = np.empty(n_runs)
+    # Max over the run's (n, d) block first, then one divide by the run
+    # scale — the same operation order as vec_error.
+    errors = RunErrors(np.stack(truth_rows), scales)
     err = np.empty(n_runs)
 
     def run_errors() -> np.ndarray:
         """Every run's error, written into ``err`` (overwritten per call)."""
-        est = engine.round_estimates().estimates  # (R, n, d), shared
-        with np.errstate(invalid="ignore"):
-            np.subtract(est, truth_full, out=deviation)
-        np.abs(deviation, out=deviation)
-        # Max over the run's (n, d) block first, then one divide by the
-        # run scale — the same operation order as vec_error.
-        deviation.max(axis=(1, 2), out=peak)
-        np.divide(peak, scales, out=err)
-        # A NaN maximum reads as inf (the divide keeps NaN where it was).
-        np.copyto(err, np.inf, where=np.isnan(peak))
-        return err
+        return errors(engine.round_estimates(), out=err)
 
     def stop(eng: BatchedEngine, round_index: int) -> np.ndarray:
         # Read-only, and replaced rather than written by the engine.

@@ -17,7 +17,7 @@ import contextlib
 from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
 
 from repro.simulation.observers import Observer
-from repro.telemetry.registry import MetricsRegistry
+from repro.telemetry.registry import LabelKey, MetricsRegistry, _label_key
 from repro.telemetry.sampling import RoundSampler, resolve_sampler
 from repro.util.timer import Timer
 
@@ -53,6 +53,8 @@ class PhaseTimer(Observer):
         self.totals: Dict[str, float] = {}
         self.counts: Dict[str, int] = {}
         self.maxima: Dict[str, float] = {}
+        # Histogram label key per (engine kind, phase), built on first use.
+        self._keys: Dict[Tuple[str, str], LabelKey] = {}
 
     def _record(self, engine_kind: str, phase: str, seconds: float) -> None:
         self.totals[phase] = self.totals.get(phase, 0.0) + seconds
@@ -60,12 +62,12 @@ class PhaseTimer(Observer):
         if seconds > self.maxima.get(phase, 0.0):
             self.maxima[phase] = seconds
         if self._hist is not None:
-            if self._labels:
-                self._hist.observe(
-                    seconds, engine=engine_kind, phase=phase, **self._labels
+            key = self._keys.get((engine_kind, phase))
+            if key is None:
+                key = self._keys[engine_kind, phase] = _label_key(
+                    dict(self._labels, engine=engine_kind, phase=phase)
                 )
-            else:
-                self._hist.observe(seconds, engine=engine_kind, phase=phase)
+            self._hist.observe_key(key, seconds)
 
     def record(
         self, phase: str, seconds: float, *, engine_kind: Optional[str] = None

@@ -26,6 +26,7 @@ scrape (:mod:`repro.telemetry.server`) never sees torn state.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import io
 import json
@@ -200,18 +201,22 @@ class Histogram(Metric):
         return list(self._bounds)
 
     def observe(self, value: float, **labels: str) -> None:
-        key = _label_key(labels)
+        self.observe_key(_label_key(labels), value)
+
+    def observe_key(self, key: LabelKey, value: float) -> None:
+        """:meth:`observe` for a label key built once by the caller."""
         with self._lock:
             slot = self._slot(key)
             slot.count += 1
             slot.sum += value
             if value > slot.max:
                 slot.max = value
-            for i, bound in enumerate(self._bounds):
-                if value <= bound:
-                    slot.buckets[i] += 1
-                    return
-            slot.buckets[-1] += 1
+            # The first bucket whose bound is >= value; NaN, like a value
+            # above every bound, lands in the +Inf bucket.
+            if value == value:
+                slot.buckets[bisect.bisect_left(self._bounds, value)] += 1
+            else:
+                slot.buckets[-1] += 1
 
     def merge_slot(
         self,
@@ -303,6 +308,9 @@ class _NullInstrument(Counter, Gauge, Histogram):
         pass
 
     def observe(self, value: float, **labels: str) -> None:
+        pass
+
+    def observe_key(self, key: LabelKey, value: float) -> None:
         pass
 
     def merge_slot(self, labels, *, count, sum, max, buckets) -> None:

@@ -9,7 +9,9 @@ object engine and the vectorized engine can consume it directly.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
+
+import numpy as np
 
 from repro.exceptions import TopologyError
 
@@ -76,6 +78,7 @@ class Topology:
             tuple(sorted(nbrs)) for nbrs in adjacency
         )
         self._edges: Tuple[Edge, ...] = tuple(sorted(edge_set))
+        self._edge_array: Optional[np.ndarray] = None
 
         if require_connected and not self._is_connected():
             raise TopologyError(
@@ -99,6 +102,15 @@ class Topology:
     def edges(self) -> Tuple[Edge, ...]:
         """All undirected edges as sorted canonical ``(min, max)`` pairs."""
         return self._edges
+
+    def edge_array(self) -> np.ndarray:
+        """:attr:`edges` as a read-only ``(num_edges, 2)`` int64 array,
+        built once per topology."""
+        if self._edge_array is None:
+            edges = np.array(self._edges, dtype=np.int64).reshape(-1, 2)
+            edges.setflags(write=False)
+            self._edge_array = edges
+        return self._edge_array
 
     @property
     def num_edges(self) -> int:

@@ -59,7 +59,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, 
 
 import numpy as np
 
-from repro.dynamics.schedule import DELTA_KINDS, TopologySchedule
+from repro.dynamics.schedule import TopologySchedule
 from repro.exceptions import ConfigurationError
 from repro.faults.events import LinkFailure
 from repro.topology.base import Topology
@@ -703,29 +703,34 @@ class BatchedEngine:
         except for the order of PCF fold-outs, which the apply methods keep.
         Inside a segment a repeated edge or node is a no-op and is dropped.
         """
-        rows = []
+        scheduled = []
         for r, run in enumerate(runs):
             schedule = run.topology_schedule
             if schedule is None or schedule.is_empty():
                 continue
             schedule.validate_against(run.topology)
-            rows.extend(
-                (d.round, DELTA_KINDS.index(d.kind), r)
-                + ((d.node, -1) if d.edge is None else d.edge)
-                for d in schedule.deltas
-            )
-        if not rows:
+            scheduled.append((r, schedule.columns))
+        if not scheduled:
             return {}
-        rnd, kind, run_of, a, b = np.array(rows, dtype=np.int64).T
-        a += run_of * self._n
+        rnd, kind, a, b = (
+            np.concatenate([cols[i] for _, cols in scheduled]) for i in range(4)
+        )
+        run_of = np.repeat(
+            [r for r, _ in scheduled], [len(cols.rounds) for _, cols in scheduled]
+        )
+        total = self._runs * self._n
+        a = a + run_of * self._n
         b = np.where(b >= 0, b + run_of * self._n, -1)
         new_round = np.r_[
             True, (run_of[1:] != run_of[:-1]) | (rnd[1:] != rnd[:-1])
         ]
         seg = np.cumsum(new_round | np.r_[True, kind[1:] != kind[:-1]]) - 1
         k = seg - seg[new_round][np.cumsum(new_round) - 1]  # index in round
-        _, first = np.unique(np.stack((seg, a, b)), axis=1, return_index=True)
-        keep = np.sort(first)
+        # The first event of each (segment, a, b): the sort is stable.
+        pair = a * (total + 1) + (b + 1)
+        order = np.lexsort((pair, seg))
+        repeat = (np.diff(seg[order]) == 0) & (np.diff(pair[order]) == 0)
+        keep = np.sort(order[np.r_[True, ~repeat]])
         keep = keep[np.lexsort((kind[keep], k[keep], rnd[keep]))]  # stable
         rnd, k, kind, a, b = (x[keep] for x in (rnd, k, kind, a, b))
         edge = b >= 0
@@ -883,25 +888,95 @@ class _RunSeries:
 
     def __init__(self, runs: int) -> None:
         self._rows: List[Tuple[int, np.ndarray, np.ndarray]] = []
+        self._stacked: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
         self.last = np.full(runs, np.inf)
 
     def append(
         self, round_index: int, row: np.ndarray, active: np.ndarray
     ) -> None:
         self._rows.append((round_index, row, active))
+        self._stacked = None
         np.copyto(self.last, row, where=active)
 
     def runs(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(rounds (T,), values (T, R), active (T, R))`` of every row."""
-        if not self._rows:
-            empty = np.empty((0, len(self.last)))
-            return np.empty(0, dtype=np.int64), empty, empty.astype(bool)
-        rounds, rows, active = zip(*self._rows)
-        return np.array(rounds), np.array(rows), np.array(active)
+        """``(rounds (T,), values (T, R), active (T, R))`` of every row,
+        stacked once per new row (the per-run queries all read them)."""
+        if self._stacked is None:
+            if self._rows:
+                rounds, rows, active = zip(*self._rows)
+                self._stacked = (
+                    np.array(rounds),
+                    np.array(rows),
+                    np.array(active),
+                )
+            else:
+                empty = np.empty((0, len(self.last)))
+                self._stacked = (
+                    np.empty(0, dtype=np.int64),
+                    empty,
+                    empty.astype(bool),
+                )
+        return self._stacked
 
     def values(self, run: int) -> np.ndarray:
         _, rows, active = self.runs()
         return rows[active[:, run], run]
+
+
+class RunErrors:
+    """Each run's max relative error over its live nodes — the one R-run
+    accuracy check, shared by :class:`BatchedErrorHistory` and the daemon's
+    stop rule (``repro.service.batch``).
+
+    Per run: the maximum of ``|estimate - truth|`` over its live nodes and
+    components, then one division by the run's scale; a NaN maximum reads
+    as inf, and a run with every node departed reads -inf. Division by a
+    positive scale is monotone, so this is bit-identical to maximizing
+    per-node quotients (``repro.algorithms.aggregates.relative_error``).
+    """
+
+    def __init__(self, truths: np.ndarray, scales: np.ndarray) -> None:
+        self._truth = np.asarray(truths, dtype=np.float64)  # (R, d)
+        self._scales = np.asarray(scales, dtype=np.float64)  # (R,)
+        self._truth_full: Optional[np.ndarray] = None  # (R, n, d)
+        self._deviation: Optional[np.ndarray] = None
+        self._peak = np.empty(len(self._scales))
+        # The membership copy last seen and its departed mask (None while
+        # every node is live); the engine replaces the copy on a change.
+        self._alive: Optional[np.ndarray] = None
+        self._departed: Optional[np.ndarray] = None
+
+    def __call__(
+        self, shared: RoundEstimates, out: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """The runs' errors this round, in ``out`` (a new array if None)."""
+        est = shared.estimates
+        if self._truth_full is None:
+            # Each run's truth repeated over its nodes, once: the
+            # subtraction then runs over equal shapes, not a broadcast.
+            self._truth_full = np.repeat(
+                self._truth[:, None, :], est.shape[1], axis=1
+            )
+            self._deviation = np.empty_like(self._truth_full)
+        deviation = self._deviation
+        with np.errstate(invalid="ignore"):
+            np.subtract(est, self._truth_full, out=deviation)
+        np.abs(deviation, out=deviation)
+        if shared.node_alive is not self._alive:
+            self._alive = shared.node_alive
+            self._departed = (
+                None if self._alive.all() else ~self._alive[:, :, None]
+            )
+        if self._departed is not None:
+            # Departed nodes hold frozen (or reset) state that is not part
+            # of the computation.
+            np.copyto(deviation, -np.inf, where=self._departed)
+        deviation.max(axis=(1, 2), out=self._peak)
+        out = np.divide(self._peak, self._scales, out=out)
+        # A NaN or ±inf component makes the maximum NaN or inf; NaN reads
+        # as inf (the divide keeps NaN where it was).
+        np.copyto(out, np.inf, where=np.isnan(self._peak))
+        return out
 
 
 class BatchedErrorHistory:
@@ -920,33 +995,16 @@ class BatchedErrorHistory:
         truth = np.asarray(truths, dtype=np.float64)
         if truth.ndim == 1:
             truth = truth[:, None]
-        self._truth = truth  # (R, d)
         scale = np.abs(truth).max(axis=1)
         self._scale = np.where(scale > 0.0, scale, 1.0)
-        self._truth_full: Optional[np.ndarray] = None  # (R, n, d)
+        self._errors = RunErrors(truth, self._scale)
         self._series = _RunSeries(len(truth))
 
     def on_round_end(self, engine: BatchedEngine, round_index: int) -> None:
-        shared = engine.round_estimates()
-        est = shared.estimates
-        if self._truth_full is None:
-            # Each run's truth repeated over its nodes, once: the
-            # subtraction then runs over equal shapes, not a broadcast.
-            self._truth_full = np.repeat(
-                self._truth[:, None, :], est.shape[1], axis=1
-            )
-        with np.errstate(invalid="ignore"):
-            node_err = (
-                np.abs(est - self._truth_full).max(axis=2)
-                / self._scale[:, None]
-            )
-        # A NaN or ±inf component makes the node's maximum NaN or inf; NaN
-        # reads as inf. Departed nodes hold frozen (or reset) state that
-        # is not part of the computation; exclude them from the run maximum.
-        node_err[np.isnan(node_err)] = np.inf
-        node_err[~shared.node_alive] = -np.inf
         self._series.append(
-            round_index, node_err.max(axis=1), engine._last_active
+            round_index,
+            self._errors(engine.round_estimates()),
+            engine._last_active,
         )
 
     @property
@@ -1022,16 +1080,19 @@ class BatchedMassProbe:
         if self._exp_val is None:
             self.start(engine)
         cur_val, cur_w, alive = self._masked_sums(engine)
-        changed = (alive != self._alive_prev).any(axis=1)
-        if changed.any():
-            # A membership change legitimately moves the conserved
-            # quantity (mass enters/leaves with the node); re-base the
-            # affected runs on the post-change live population.
-            self._exp_val[changed] = cur_val[changed]
-            self._exp_w[changed] = cur_w[changed]
-            self._scale[changed] = self._scale_of(
-                cur_val[changed], cur_w[changed]
-            )
+        # The engine replaces its read-only membership copy only when the
+        # round plan changes; until then membership cannot have moved.
+        if alive is not self._alive_prev:
+            changed = (alive != self._alive_prev).any(axis=1)
+            if changed.any():
+                # A membership change legitimately moves the conserved
+                # quantity (mass enters/leaves with the node); re-base the
+                # affected runs on the post-change live population.
+                self._exp_val[changed] = cur_val[changed]
+                self._exp_w[changed] = cur_w[changed]
+                self._scale[changed] = self._scale_of(
+                    cur_val[changed], cur_w[changed]
+                )
             self._alive_prev = alive
         deviation = np.maximum(
             np.abs(cur_val - self._exp_val).max(axis=1),

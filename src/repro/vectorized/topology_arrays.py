@@ -51,16 +51,24 @@ class TopologyArrays:
     @classmethod
     def _build(cls, topology: Topology) -> "TopologyArrays":
         n = topology.n
-        max_degree = max(topology.max_degree(), 1)
+        edges = topology.edge_array()
+        # Both directions of every edge, sorted by (node, neighbor): node
+        # i's run lists its neighbors in ascending order, as
+        # Topology.neighbors does, so a position in the run is the slot.
+        src = np.concatenate((edges[:, 0], edges[:, 1]))
+        dst = np.concatenate((edges[:, 1], edges[:, 0]))
+        order = np.lexsort((dst, src))
+        src, dst = src[order], dst[order]
+        degree = np.bincount(src, minlength=n)
+        max_degree = max(int(degree.max(initial=0)), 1)
+        slot = np.arange(len(src)) - (np.cumsum(degree) - degree)[src]
+        # The reverse edge (j, i) sits where its code j*n + i sorts.
+        reverse = np.searchsorted(src * n + dst, dst * n + src)
         nbr = np.full((n, max_degree), -1, dtype=np.int32)
         slot_of = np.full((n, max_degree), -1, dtype=np.int32)
-        degree = np.zeros(n, dtype=np.int32)
-        for i in topology.nodes():
-            neighbors = topology.neighbors(i)
-            degree[i] = len(neighbors)
-            for s, j in enumerate(neighbors):
-                nbr[i, s] = j
-                slot_of[i, s] = topology.neighbor_index(j, i)
+        nbr[src, slot] = dst
+        slot_of[src, slot] = slot[reverse]
+        degree = degree.astype(np.int32)
         nbr.setflags(write=False)
         slot_of.setflags(write=False)
         degree.setflags(write=False)

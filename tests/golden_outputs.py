@@ -14,7 +14,12 @@ The cases cover:
   schedules x value dimension d in {1, 3};
 - batched runs with a link failure, churn, a round cap, message loss and
   a scripted schedule in one batch, on mixed topologies;
-- one 16-job daemon wave through ``repro.service.batch.execute_group``.
+- one 16-job daemon wave through ``repro.service.batch.execute_group``;
+- the churn path: every dynamic-topology builder on hypercube(8) for
+  three seeds, one composed churn + partition fault spec through
+  ``build_topology_schedule`` and ``build_faults``, and a batched
+  churn-grid group's per-round error-history and mass-drift series
+  (``BatchedErrorHistory``, ``BatchedMassProbe``).
 
 No case uses BLAS (dmGS is left out), and every case refuses to record a
 non-finite estimate, so a digest depends only on IEEE element-wise
@@ -247,6 +252,149 @@ def daemon_wave_digest() -> str:
     return digest.hexdigest()
 
 
+#: Seeds of the dynamic-topology builder cases.
+BUILDER_SEEDS = (0, 1, 2)
+
+
+def _schedule_digest(digest: _Digest, schedule) -> None:
+    """A schedule's public view: its events, summary and per-round lookup."""
+    digest.text(json.dumps(schedule.to_events(), sort_keys=True))
+    digest.text(json.dumps(schedule.meta()))
+    digest.ints(len(schedule), schedule.last_round)
+    digest.ints(
+        *(len(schedule.deltas_at(r)) for r in range(schedule.last_round + 2))
+    )
+
+
+def builder_digest(builder: str, k: int) -> str:
+    from repro import dynamics
+    from repro.topology import hypercube
+
+    topo = hypercube(8)
+    seed = BUILDER_SEEDS[k]
+    if builder == "scripted_churn":
+        rng = np.random.default_rng(seed)
+        events = [
+            (int(r), "leave" if rng.random() < 0.5 else "join", int(node))
+            for r, node in zip(
+                rng.integers(0, 100, 60), rng.integers(0, topo.n, 60)
+            )
+        ]
+        schedule = dynamics.scripted_churn(events)
+    elif builder == "poisson_churn":
+        schedule = dynamics.poisson_churn(
+            topo, rate=0.5 + k, start=5, end=120, seed=seed
+        )
+    elif builder == "partition_and_heal":
+        schedule = dynamics.partition_and_heal(
+            topo,
+            round=40,
+            heal_round=None if k == 2 else 80,
+            fraction=0.3 + 0.2 * k,
+            seed=seed,
+        )
+    elif builder == "regional_outage":
+        schedule = dynamics.regional_outage(
+            topo, round=40, duration=30, region_count=4 + k, seed=seed
+        )
+    else:
+        schedule = dynamics.random_edge_flaps(
+            topo, rate=2.0, duration=5, start=0, end=60, seed=seed
+        )
+    digest = _Digest()
+    _schedule_digest(digest, schedule)
+    return digest.hexdigest()
+
+
+def composed_schedule_digest() -> str:
+    from repro.faults.specs import build_faults, build_topology_schedule
+    from repro.topology import hypercube
+
+    topo = hypercube(8)
+    spec = {
+        "name": "churn+partition",
+        "compose": [
+            {"kind": "churn", "rate": 0.3, "start": 10, "end": 90},
+            {"kind": "partition", "round": 40, "heal_round": 80},
+        ],
+    }
+    digest = _Digest()
+    schedule = build_topology_schedule(spec, topology=topo, seed=7, horizon=160)
+    _schedule_digest(digest, schedule)
+    built = build_faults(spec, seed=7, topology=topo, horizon=160)
+    _schedule_digest(digest, built.topology_schedule)
+    digest.text(json.dumps(built.dynamics_meta))
+    digest.ints(built.event_round)
+    return digest.hexdigest()
+
+
+def churn_group_digest(algorithm: str, d: int) -> str:
+    """A churn-grid group on the batched engine, as the campaign runner
+    drives it: the builtin's four faults x two seeds on hypercube(5), the
+    error history and mass probe on every round, converged fault-free
+    runs retired."""
+    from repro.campaigns.builtin import BUILTIN_SPECS
+    from repro.faults.specs import build_topology_schedule
+    from repro.topology import hypercube
+    from repro.vectorized.batched import (
+        BatchedEngine,
+        BatchedErrorHistory,
+        BatchedMassProbe,
+        BatchedRun,
+    )
+
+    grid = BUILTIN_SPECS["churn-grid"]
+    rounds, epsilon = int(grid["rounds"]), float(grid["epsilon"])
+    topo = hypercube(5)
+    rng = np.random.default_rng([41, d])
+    runs, truths, eligible = [], [], []
+    for fault in grid["faults"]:
+        for seed in grid["seeds"]:
+            values = rng.uniform(0.0, 1.0, (topo.n, d))
+            schedule = build_topology_schedule(
+                fault, topology=topo, seed=int(seed), horizon=rounds
+            )
+            runs.append(
+                BatchedRun(
+                    topology=topo,
+                    values=values,
+                    weights=np.ones(topo.n),
+                    rng=len(runs),
+                    topology_schedule=schedule,
+                )
+            )
+            truths.append(values.mean(axis=0))
+            eligible.append(schedule is None)
+    engine = BatchedEngine(algorithm, runs)
+    history = BatchedErrorHistory(truths)
+    probe = BatchedMassProbe(tolerance=1e-6)
+    probe.start(engine)
+    eligible = np.array(eligible)
+
+    def on_round(eng, round_index: int) -> None:
+        history.on_round_end(eng, round_index)
+        probe.on_round_end(eng, round_index)
+
+    def stop_when(eng, round_index: int):
+        current = history.current_max_errors()
+        return eligible & np.isfinite(current) & (current <= epsilon)
+
+    engine.run(rounds, stop_when=stop_when, on_round=on_round)
+    digest = _Digest()
+    for r in range(engine.n_runs):
+        digest.array(np.array(history.max_errors[r]))
+        rounds_r, drifts = zip(*probe.records[r])
+        digest.array(np.array(rounds_r))
+        digest.array(np.array(drifts))
+        digest.array(np.array([probe.worst_drift(r)]))
+    digest.array(history.current_max_errors())
+    digest.array(probe.violations)
+    digest.array(engine.run_rounds)
+    digest.array(engine.messages_sent)
+    digest.array(engine.messages_delivered)
+    return digest.hexdigest()
+
+
 def cases() -> Dict[str, Callable[[], str]]:
     """Case name -> zero-argument digest function."""
     table: Dict[str, Callable[[], str]] = {}
@@ -258,6 +406,25 @@ def cases() -> Dict[str, Callable[[], str]]:
                 )
         table[f"batched/{algorithm}"] = lambda a=algorithm: batched_digest(a)
     table["daemon/execute_group-16"] = daemon_wave_digest
+    for builder in (
+        "scripted_churn",
+        "poisson_churn",
+        "partition_and_heal",
+        "regional_outage",
+        "random_edge_flaps",
+    ):
+        for k, seed in enumerate(BUILDER_SEEDS):
+            table[f"dynamics/{builder}/hypercube8-s{seed}"] = (
+                lambda b=builder, k=k: builder_digest(b, k)
+            )
+    table["dynamics/compose-churn-partition"] = composed_schedule_digest
+    for algorithm in ("push_sum", "push_flow", "push_cancel_flow"):
+        table[f"churn-group/{algorithm}/d1"] = (
+            lambda a=algorithm: churn_group_digest(a, 1)
+        )
+    table["churn-group/push_cancel_flow/d3"] = lambda: churn_group_digest(
+        "push_cancel_flow", 3
+    )
     return table
 
 
