@@ -75,11 +75,8 @@ def load_sampled_slowdowns(path: str) -> Dict[int, float]:
 def load_batched_speedups(path: str) -> Dict[int, float]:
     """Map n -> ``speedup_vs_sequential_sync`` of batched bench entries.
 
-    Only the numpy reference backend is gated (entries predating the
-    backend axis carry no ``backend`` key and count as numpy). The numba
-    entries and the multiprocess ``batched-groups`` entry are
-    informational — their ratios track numba's compiler and the runner's
-    core count, not this repo's kernels.
+    The multiprocess ``batched-groups`` entry is informational — its
+    ratio tracks the runner's core count, not this repo's kernels.
     """
     with open(path) as fh:
         payload = json.load(fh)
@@ -87,27 +84,8 @@ def load_batched_speedups(path: str) -> Dict[int, float]:
     for entry in payload.get("entries", []):
         if entry.get("engine") != "batched":
             continue
-        if entry.get("backend") not in (None, "numpy"):
-            continue
         n = entry.get("n")
         speedup = entry.get("speedup_vs_sequential_sync")
-        if n is not None and speedup is not None:
-            speedups[int(n)] = float(speedup)
-    return speedups
-
-
-def load_numba_speedups(path: str) -> Dict[int, float]:
-    """Map n -> ``numba_speedup_vs_numpy`` of batched numba entries."""
-    with open(path) as fh:
-        payload = json.load(fh)
-    speedups: Dict[int, float] = {}
-    for entry in payload.get("entries", []):
-        if entry.get("engine") != "batched":
-            continue
-        if entry.get("backend") != "numba":
-            continue
-        n = entry.get("n")
-        speedup = entry.get("numba_speedup_vs_numpy")
         if n is not None and speedup is not None:
             speedups[int(n)] = float(speedup)
     return speedups
@@ -147,20 +125,8 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="X",
         help=(
             "required speedup of the batched seed-axis program over "
-            "sequential object-engine execution; gates the numpy "
-            "reference backend only; 0 disables the gate (default: 5)"
-        ),
-    )
-    parser.add_argument(
-        "--min-numba-speedup",
-        type=float,
-        default=0.0,
-        metavar="X",
-        help=(
-            "required numba-vs-numpy throughput ratio of the batched "
-            "numba entries. Default 0: informational only (printed, "
-            "never failing) — promote to a hard gate by passing a floor "
-            "once the jitted numbers are stable in CI"
+            "sequential object-engine execution; 0 disables the gate "
+            "(default: 5)"
         ),
     )
     return parser
@@ -260,41 +226,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             )
             return 1
 
-    # Numba-vs-numpy ratio: informational until a floor is passed.
-    numba_speedups = load_numba_speedups(args.current)
-    for n in sorted(numba_speedups):
-        gated = args.min_numba_speedup > 0
-        failing = gated and numba_speedups[n] < args.min_numba_speedup
-        verdict = "FAIL" if failing else ("ok" if gated else "info")
-        print(
-            f"numba/numpy batched ratio n={n}: {numba_speedups[n]:.2f}x "
-            + (
-                f"(floor {args.min_numba_speedup:.2f}x) {verdict}"
-                if gated
-                else f"({verdict}, no floor set)"
-            )
-        )
-    if args.min_numba_speedup > 0:
-        if not numba_speedups:
-            print(
-                "error: --min-numba-speedup set but the current bench "
-                "JSON carries no batched numba entries",
-                file=sys.stderr,
-            )
-            return 1
-        under = {
-            n: s
-            for n, s in numba_speedups.items()
-            if s < args.min_numba_speedup
-        }
-        if under:
-            print(
-                "error: numba batched kernels fell below the "
-                f"{args.min_numba_speedup:.2f}x floor over the numpy "
-                f"reference at n={sorted(under)}.",
-                file=sys.stderr,
-            )
-            return 1
     return 0
 
 

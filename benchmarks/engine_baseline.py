@@ -60,7 +60,6 @@ from repro.telemetry import (
 )
 from repro.telemetry.probes import FlowMagnitudeProbe, MassConservationProbe
 from repro.topology import hypercube
-from repro.vectorized.backends import available_backends
 from repro.vectorized.batched import BatchedEngine, BatchedRun
 from repro.vectorized.parity import vector_engine_for
 
@@ -71,9 +70,7 @@ MIN_SECONDS = 0.4
 #: executed as a single whole-array program, compared against running the
 #: same runs one-by-one on the object engine (the pre-batching campaign
 #: path). Same machine, same process — the speedup is a ratio, so it is
-#: hardware-independent and CI-gateable. The entry is measured once per
-#: available kernel backend (numpy always; numba when installed, with an
-#: informational numba-vs-numpy ratio).
+#: hardware-independent and CI-gateable.
 BATCHED_RUNS = 16
 BATCHED_N = 1024  # hypercube(10); --quick drops to 128
 #: The batched-groups entry: a whole campaign (all four algorithms as
@@ -132,7 +129,7 @@ def _batched_r1_engine(n):
     return BatchedEngine(ALGORITHM, [run])
 
 
-def _batched_engine(n, runs=BATCHED_RUNS, backend=None):
+def _batched_engine(n, runs=BATCHED_RUNS):
     topo = hypercube(int(np.log2(n)))
     children = np.random.SeedSequence(7).spawn(runs)
     batch = []
@@ -146,7 +143,7 @@ def _batched_engine(n, runs=BATCHED_RUNS, backend=None):
                 rng=rng,
             )
         )
-    return BatchedEngine(ALGORITHM, batch, backend=backend)
+    return BatchedEngine(ALGORITHM, batch)
 
 
 def _groups_entry(bn, rounds, sync_rps, workers):
@@ -423,45 +420,33 @@ def main(argv=None) -> int:
     # Batched campaign axis: BATCHED_RUNS independent runs as one program
     # vs the same runs executed sequentially on the object engine. One
     # batched "round" advances all runs, so the axis-level speedup is
-    # runs * batched_rps / sync_rps. Measured once per available kernel
-    # backend; the numpy entry is the CI-gated reference, the numba entry
-    # carries an informational numba-vs-numpy ratio.
+    # runs * batched_rps / sync_rps; CI gates it.
     bn = 128 if args.quick else BATCHED_N
     sync_ref = rounds_per_sec(lambda: _sync_engine(bn), min_seconds)
-    numpy_rps = None
-    for backend in available_backends():
-        batched = rounds_per_sec(
-            lambda: _batched_engine(bn, backend=backend), min_seconds
-        )
-        speedup = round(
-            BATCHED_RUNS
-            * batched["rounds_per_sec"]
-            / max(sync_ref["rounds_per_sec"], 1e-9),
-            2,
-        )
-        entry = {
+    batched = rounds_per_sec(lambda: _batched_engine(bn), min_seconds)
+    speedup = round(
+        BATCHED_RUNS
+        * batched["rounds_per_sec"]
+        / max(sync_ref["rounds_per_sec"], 1e-9),
+        2,
+    )
+    entries.append(
+        {
             "engine": "batched",
             "algorithm": ALGORITHM,
-            "backend": backend,
             "n": bn,
             "runs": BATCHED_RUNS,
             **batched,
             "sync_rounds_per_sec": sync_ref["rounds_per_sec"],
             "speedup_vs_sequential_sync": speedup,
         }
-        if backend == "numpy":
-            numpy_rps = batched["rounds_per_sec"]
-        elif numpy_rps:
-            entry["numba_speedup_vs_numpy"] = round(
-                batched["rounds_per_sec"] / numpy_rps, 3
-            )
-        entries.append(entry)
-        print(
-            f"batched[{backend}] n={bn:4d} x{BATCHED_RUNS} runs  "
-            f"{batched['rounds_per_sec']:>10.1f} axis rounds/s  "
-            f"({speedup:.1f}x vs sequential object engine at "
-            f"{sync_ref['rounds_per_sec']:.1f} rounds/s)"
-        )
+    )
+    print(
+        f"batched n={bn:4d} x{BATCHED_RUNS} runs  "
+        f"{batched['rounds_per_sec']:>10.1f} axis rounds/s  "
+        f"({speedup:.1f}x vs sequential object engine at "
+        f"{sync_ref['rounds_per_sec']:.1f} rounds/s)"
+    )
 
     # Multiprocess batched groups: a whole four-algorithm campaign with
     # one worker per group, vs the estimated sequential object-engine
@@ -508,11 +493,11 @@ def main(argv=None) -> int:
             "(one round in DEFAULT_SAMPLE_EVERY). The six sync and vector "
             "engines of one n run alternating chunks of about "
             "CHUNK_SECONDS each; rounds and seconds are the engine's "
-            "fastest chunk. The 'batched' entries "
-            "run a whole seed axis as one whole-array program, once per "
-            "available kernel backend; speedup_vs_sequential_sync is a "
-            "same-machine ratio against the object engine (CI gates the "
-            "numpy entry; numba and batched-groups are informational). "
+            "fastest chunk. The 'batched' entry "
+            "runs a whole seed axis as one whole-array program; "
+            "speedup_vs_sequential_sync is a same-machine ratio against "
+            "the object engine (CI gates it; batched-groups is "
+            "informational). "
             "'batched-r1' times the vector entry's run as a batch of one, "
             "side by side with the single-run engine in the same chunks; "
             "round_time_vs_vector is its round time over the single-run "

@@ -68,17 +68,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--backend",
-        choices=("numpy", "numba"),
-        default=None,
-        help=(
-            "override the spec's kernel backend (vectorized/batched "
-            "engines only); 'numba' falls back to numpy with a warning "
-            "when numba is not installed. The default output directory "
-            "gains a -<backend> suffix so the runs don't collide"
-        ),
-    )
-    parser.add_argument(
         "--start-method",
         choices=("fork", "spawn", "forkserver"),
         default=None,
@@ -139,23 +128,16 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         spec = load_spec(args.spec)
-        overrides = {}
         if args.engine is not None and args.engine != spec.engine:
-            overrides["engine"] = args.engine
-        if args.backend is not None and args.backend != spec.backend:
-            overrides["backend"] = args.backend
-        if overrides:
             from repro.campaigns.spec import CampaignSpec
 
-            spec = CampaignSpec.from_dict({**spec.to_dict(), **overrides})
+            spec = CampaignSpec.from_dict({**spec.to_dict(), "engine": args.engine})
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     default_out = f"results/campaigns/{spec.name}"
     if args.engine is not None and args.engine != "object":
         default_out += f"-{args.engine}"
-    if args.backend is not None:
-        default_out += f"-{args.backend}"
     out_dir = pathlib.Path(args.out or default_out)
     log = (lambda _msg: None) if args.quiet else print
     try:

@@ -39,7 +39,7 @@ import math
 import os
 import pathlib
 import time
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -248,21 +248,84 @@ def execute_cell(cell: Dict[str, object]) -> Dict[str, object]:
     else:
         engine.run(rounds)
 
-    errors = history.max_errors
-    final_error = history.final_max_error()
-    converged = math.isfinite(final_error) and final_error <= epsilon
+    record = _outcome_record(
+        cell,
+        engine="object",
+        backend=None,
+        rounds=engine.round,
+        errors=history.max_errors,
+        rounds_to_tolerance=history.first_round_below(epsilon),
+        event_round=built.event_round,
+        dynamics=built.dynamics_meta,
+        drifts=[
+            (int(r["round"]), float(r["drift"]))  # type: ignore[arg-type]
+            for r in mass_probe.records
+        ],
+        worst_drift=mass_probe.worst_drift(),
+        mass_violations=len(mass_probe.violations),
+        detectors=detectors,
+        flight_dumps=(
+            [str(p) for p in flight.dump_paths] if flight is not None else []
+        ),
+        sent=engine.messages_sent,
+        delivered=engine.messages_delivered,
+        wall_s=round(time.perf_counter() - t0, 4),
+        # No fused kernel on the per-message object engine.
+        kernel_seconds=None,
+    )
+    record["_metrics_snapshot"] = _cell_snapshot(
+        registry,
+        algorithm=str(cell["algorithm"]),
+        engine="object",
+        backend="none",
+        rounds=engine.round,
+        sent=engine.messages_sent,
+        delivered=engine.messages_delivered,
+        mass_violations=len(mass_probe.violations),
+    )
+    return record
+
+
+def _outcome_record(
+    cell: Dict[str, object],
+    *,
+    engine: str,
+    backend: Optional[str],
+    rounds: int,
+    errors: Sequence[float],
+    rounds_to_tolerance: Optional[int],
+    event_round: Optional[int],
+    dynamics: Optional[Dict[str, object]],
+    drifts: Sequence[Tuple[int, float]],
+    worst_drift: Optional[float],
+    mass_violations: int,
+    detectors: Sequence[object],
+    flight_dumps: List[str],
+    sent: int,
+    delivered: int,
+    wall_s: float,
+    kernel_seconds: Optional[float],
+) -> Dict[str, object]:
+    """One finished cell's outcome record, the same fields in the same
+    order on every engine.
+
+    ``errors`` is the cell's per-round max error series and ``drifts``
+    its ``(round, drift)`` mass-probe series.
+    """
+    epsilon = float(cell["epsilon"])  # type: ignore[arg-type]
+    final_error = errors[-1] if errors else float("inf")
     finite_errors = [e for e in errors if math.isfinite(e)]
     best_error = min(finite_errors) if finite_errors else float("inf")
 
     recovery: Dict[str, object] = {
-        "event_round": built.event_round,
+        "event_round": event_round,
         "recovery_rounds": None,
         "recovered": None,
         "jump_factor": None,
         "restart_fraction": None,
     }
-    if built.event_round is not None and built.event_round < len(errors):
-        report = fallback_report(errors, built.event_round)
+    if event_round is not None and event_round < len(errors):
+        report = fallback_report(errors, event_round)
         recovered = report.recovery_rounds is not None
         recovery.update(
             {
@@ -270,7 +333,7 @@ def execute_cell(cell: Dict[str, object]) -> Dict[str, object]:
                 # so means stay comparable across algorithms.
                 "recovery_rounds": report.recovery_rounds
                 if recovered
-                else len(errors) - built.event_round,
+                else len(errors) - event_round,
                 "recovered": recovered,
                 "jump_factor": _json_float(report.jump_factor),
                 "restart_fraction": _json_float(report.restart_fraction),
@@ -282,60 +345,42 @@ def execute_cell(cell: Dict[str, object]) -> Dict[str, object]:
     # the drift *floor* over the run's tail: healthy flow algorithms touch
     # ~0 repeatedly, genuine mass loss (push-sum under loss, PCF deadlock
     # drain) never returns there.
-    mass_records = mass_probe.records
-    tail_start = max(0, engine.round - max(engine.round // 4, 1))
-    tail_drifts = [
-        float(r["drift"])  # type: ignore[arg-type]
-        for r in mass_records
-        if int(r["round"]) >= tail_start  # type: ignore[arg-type]
-    ]
+    tail_start = max(0, rounds - max(rounds // 4, 1))
+    tail_drifts = [d for rnd, d in drifts if rnd >= tail_start]
     return {
         "cell_id": cell["cell_id"],
         "status": "ok",
         "algorithm": cell["algorithm"],
         "topology": cell["topology_label"],
         "fault": cell["fault"]["name"],  # type: ignore[index]
-        "seed": seed,
-        "engine": "object",
-        "backend": None,
-        "n": n,
-        "rounds": engine.round,
+        "seed": int(cell["seed"]),  # type: ignore[arg-type]
+        "engine": engine,
+        "backend": backend,
+        "n": int(cell["topology"]["n"]),  # type: ignore[index]
+        "rounds": rounds,
         "epsilon": epsilon,
-        "converged": converged,
-        "rounds_to_tolerance": history.first_round_below(epsilon),
+        "converged": math.isfinite(final_error) and final_error <= epsilon,
+        "rounds_to_tolerance": rounds_to_tolerance,
         "final_error": _json_float(final_error),
         "best_error": _json_float(best_error),
-        "dynamics": built.dynamics_meta,
+        "dynamics": dynamics,
         **recovery,
-        "mass_drift_final": _json_float(
-            float(mass_records[-1]["drift"]) if mass_records else None  # type: ignore[arg-type]
-        ),
+        "mass_drift_final": _json_float(drifts[-1][1] if drifts else None),
         "mass_drift_floor": _json_float(
             min(tail_drifts) if tail_drifts else None
         ),
-        "mass_drift_worst": _json_float(mass_probe.worst_drift()),
-        "mass_violations": len(mass_probe.violations),
-        "alerts_total": sum(len(d.alerts) for d in detectors),
-        "alerts": {d.name: len(d.alerts) for d in detectors if d.alerts},
-        "flight_dumps": (
-            [str(p) for p in flight.dump_paths] if flight is not None else []
-        ),
-        "messages_sent": engine.messages_sent,
-        "messages_delivered": engine.messages_delivered,
-        "wall_s": round(time.perf_counter() - t0, 4),
-        # No fused kernel on the per-message object engine.
-        "kernel_seconds": None,
+        "mass_drift_worst": _json_float(worst_drift),
+        "mass_violations": mass_violations,
+        "alerts_total": sum(len(d.alerts) for d in detectors),  # type: ignore[attr-defined]
+        "alerts": {
+            d.name: len(d.alerts) for d in detectors if d.alerts  # type: ignore[attr-defined]
+        },
+        "flight_dumps": flight_dumps,
+        "messages_sent": sent,
+        "messages_delivered": delivered,
+        "wall_s": wall_s,
+        "kernel_seconds": kernel_seconds,
         "error": None,
-        "_metrics_snapshot": _cell_snapshot(
-            registry,
-            algorithm=str(cell["algorithm"]),
-            engine="object",
-            backend="none",
-            rounds=engine.round,
-            sent=engine.messages_sent,
-            delivered=engine.messages_delivered,
-            mass_violations=len(mass_probe.violations),
-        ),
     }
 
 
@@ -418,13 +463,11 @@ def _execute_cells_batched(
     kind = AggregateKind(str(first["aggregate"]))
     data_kind = str(first["data"])
     engine_kind = str(first.get("engine", "vectorized"))
-    backend = first.get("backend")
 
     runs: List[BatchedRun] = []
     truths: List[float] = []
     event_rounds: List[Optional[int]] = []
     retire_ok: List[bool] = []
-    sizes: List[int] = []
     schedules: List[object] = []
     # Each distinct topology is built once per group: a group's cells share
     # their topology spec, and only random families depend on the seed.
@@ -468,7 +511,6 @@ def _execute_cells_batched(
         else:
             event_rounds.append(None)
         retire_ok.append(loss == 0.0 and not links and schedule is None)
-        sizes.append(n)
         runs.append(
             BatchedRun(
                 topology=topology,
@@ -482,13 +524,10 @@ def _execute_cells_batched(
             )
         )
 
-    engine = BatchedEngine(
-        algorithm, runs, backend=str(backend) if backend is not None else None
-    )
+    engine = BatchedEngine(algorithm, runs)
     # Group-level telemetry: the fused round kernel is timed into a
-    # histogram labeled by (algorithm, engine, backend) — backend is the
-    # *resolved* one, so a numba fallback profiles as numpy — and the
-    # engine totals below join it in one snapshot shipped with the group.
+    # histogram labeled by (algorithm, engine, backend), and the engine
+    # totals below join it in one snapshot shipped with the group.
     from repro.telemetry.phase import PhaseTimer
 
     registry = MetricsRegistry()
@@ -529,78 +568,29 @@ def _execute_cells_batched(
     all_errors = history.max_errors
     all_mass_records = mass_probe.records
     for r, cell in enumerate(cells):
-        errors = all_errors[r]
-        final_error = errors[-1] if errors else float("inf")
-        converged = math.isfinite(final_error) and final_error <= epsilon
-        finite_errors = [e for e in errors if math.isfinite(e)]
-        best_error = min(finite_errors) if finite_errors else float("inf")
-
-        recovery: Dict[str, object] = {
-            "event_round": event_rounds[r],
-            "recovery_rounds": None,
-            "recovered": None,
-            "jump_factor": None,
-            "restart_fraction": None,
-        }
-        event_round = event_rounds[r]
-        if event_round is not None and event_round < len(errors):
-            report = fallback_report(errors, event_round)
-            recovered = report.recovery_rounds is not None
-            recovery.update(
-                {
-                    "recovery_rounds": report.recovery_rounds
-                    if recovered
-                    else len(errors) - event_round,
-                    "recovered": recovered,
-                    "jump_factor": _json_float(report.jump_factor),
-                    "restart_fraction": _json_float(report.restart_fraction),
-                }
-            )
-
-        mass_records = all_mass_records[r]
         cell_rounds = int(run_rounds[r])
-        tail_start = max(0, cell_rounds - max(cell_rounds // 4, 1))
-        tail_drifts = [d for rnd, d in mass_records if rnd >= tail_start]
         records.append(
-            {
-                "cell_id": cell["cell_id"],
-                "status": "ok",
-                "algorithm": cell["algorithm"],
-                "topology": cell["topology_label"],
-                "fault": cell["fault"]["name"],  # type: ignore[index]
-                "seed": int(cell["seed"]),  # type: ignore[arg-type]
-                "engine": engine_kind,
-                # The *resolved* backend: a numba spec that fell back to
-                # numpy records "numpy", so results say what actually ran.
-                "backend": engine.backend_name,
-                "n": sizes[r],
-                "rounds": cell_rounds,
-                "epsilon": epsilon,
-                "converged": converged,
-                "rounds_to_tolerance": history.first_round_below(r, epsilon),
-                "final_error": _json_float(final_error),
-                "best_error": _json_float(best_error),
-                "dynamics": (
+            _outcome_record(
+                cell,
+                engine=engine_kind,
+                backend=engine.backend_name,
+                rounds=cell_rounds,
+                errors=all_errors[r],
+                rounds_to_tolerance=history.first_round_below(r, epsilon),
+                event_round=event_rounds[r],
+                dynamics=(
                     schedules[r].meta() if schedules[r] is not None else None  # type: ignore[attr-defined]
                 ),
-                **recovery,
-                "mass_drift_final": _json_float(
-                    mass_records[-1][1] if mass_records else None
-                ),
-                "mass_drift_floor": _json_float(
-                    min(tail_drifts) if tail_drifts else None
-                ),
-                "mass_drift_worst": _json_float(mass_probe.worst_drift(r)),
-                "mass_violations": int(mass_probe.violations[r]),
-                "alerts_total": 0,
-                "alerts": {},
-                "flight_dumps": [],
-                "messages_sent": int(sent[r]),
-                "messages_delivered": int(delivered[r]),
-                "wall_s": wall,
-                "kernel_seconds": kernel_wall,
-                "error": None,
-            }
+                drifts=all_mass_records[r],
+                worst_drift=mass_probe.worst_drift(r),
+                mass_violations=int(mass_probe.violations[r]),
+                detectors=(),
+                flight_dumps=[],
+                sent=int(sent[r]),
+                delivered=int(delivered[r]),
+                wall_s=wall,
+                kernel_seconds=kernel_wall,
+            )
         )
         _count_cell_metrics(
             registry,
@@ -646,7 +636,7 @@ def _failure_record(
         "fault": cell["fault"].get("name"),  # type: ignore[union-attr]
         "seed": cell["seed"],
         "engine": cell.get("engine", "object"),
-        "backend": cell.get("backend"),
+        "backend": None,
         "attempts": attempts,
         "flight_dumps": dumps,
         "error": error,
@@ -885,12 +875,20 @@ def run_campaign(
     spec_dict = spec.to_dict()
     if spec_path.exists():
         existing = json.loads(spec_path.read_text())
-        # Older campaign dirs predate the telemetry_sample_rate, engine
-        # and backend run keys; let them resume under the defaults rather
-        # than refusing.
+        # Older campaign dirs predate the telemetry_sample_rate and engine
+        # run keys; let them resume under the defaults rather than refusing.
         existing.setdefault("telemetry_sample_rate", None)
         existing.setdefault("engine", "object")
-        existing.setdefault("backend", None)
+        # They may also record the removed kernel-backend key. Null and
+        # "numpy" ran the one kernel set that is left; any other backend's
+        # cells match it only within tolerance and must not mix with it.
+        backend = existing.pop("backend", None)
+        if backend not in (None, "numpy"):
+            raise ConfigurationError(
+                f"{out_path} holds results from the removed {backend!r} "
+                "kernel backend, which the numpy kernels match only within "
+                "tolerance; use a fresh --out directory"
+            )
         if existing != spec_dict:
             raise ConfigurationError(
                 f"{out_path} already holds results for a different campaign "

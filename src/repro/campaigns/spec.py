@@ -52,7 +52,6 @@ _RUN_KEYS = (
     "data",
     "telemetry_sample_rate",
     "engine",
-    "backend",
 )
 _DATA_KINDS = ("uniform", "spike", "log_uniform")
 _AGGREGATES = ("average", "sum")
@@ -106,12 +105,6 @@ class CampaignSpec:
     #: with a vectorized implementation and fault kinds in
     #: :data:`_VECTOR_FAULT_KINDS`.
     engine: str = "object"
-    #: Kernel backend for the vectorized/batched engines: ``numpy`` (the
-    #: bit-for-bit reference, default) or ``numba`` (jitted fused kernels;
-    #: falls back to numpy with a RuntimeWarning when numba is not
-    #: installed). ``None`` means the default. Meaningless — and rejected —
-    #: on the object engine, which has no whole-array kernels.
-    backend: Union[str, None] = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -235,21 +228,6 @@ class CampaignSpec:
             raise ConfigurationError(
                 f"engine must be one of {_ENGINES}, got {engine!r}"
             )
-        backend = raw.get("backend")
-        if backend is not None:
-            backend = str(backend)
-            from repro.vectorized.backends import BACKEND_NAMES
-
-            if backend not in BACKEND_NAMES:
-                raise ConfigurationError(
-                    f"backend must be one of {BACKEND_NAMES}, got {backend!r}"
-                )
-            if engine == "object":
-                raise ConfigurationError(
-                    f"backend {backend!r} requires a vectorized engine; "
-                    "the object engine has no kernel backends — set "
-                    "engine to 'vectorized' or 'batched'"
-                )
         if engine != "object":
             from repro.vectorized.parity import vector_engine_for
 
@@ -282,7 +260,6 @@ class CampaignSpec:
             data=data,
             telemetry_sample_rate=sample_rate,
             engine=engine,
-            backend=backend,
         )
 
     @classmethod
@@ -335,7 +312,6 @@ class CampaignSpec:
             "data": self.data,
             "telemetry_sample_rate": self.telemetry_sample_rate,
             "engine": self.engine,
-            "backend": self.backend,
         }
 
     @property
@@ -379,7 +355,6 @@ class CampaignSpec:
                                     self.telemetry_sample_rate
                                 ),
                                 "engine": self.engine,
-                                "backend": self.backend,
                             }
                         )
         return cells

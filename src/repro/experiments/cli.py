@@ -40,8 +40,8 @@ def build_parser() -> argparse.ArgumentParser:
             "Scenario sweeps: 'python -m repro.experiments campaign <spec>' "
             "runs a fault-injection campaign grid (see repro.campaigns; "
             "'campaign --help' for options, including the execution "
-            "--engine and kernel --backend axes: numpy reference or "
-            "numba-jitted fused kernels). Causal tracing: 'python -m "
+            "--engine: object, vectorized or batched). Causal tracing: "
+            "'python -m "
             "repro.experiments trace run|diff|query|validate' (see "
             "repro.tracing; 'trace --help' for options). Campaign "
             "analytics: 'python -m repro.experiments analyze <dir>' "

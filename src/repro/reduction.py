@@ -29,20 +29,13 @@ from repro.metrics.history import ErrorHistory
 from repro.simulation.engine import SynchronousEngine
 from repro.simulation.schedule import Schedule, UniformGossipSchedule
 from repro.topology.base import Topology
-from repro.vectorized.parity import vector_engine_for
-
-_VECTOR_CAPABLE = (
-    "push_sum",
-    "push_flow",
-    "push_cancel_flow",
-    "push_cancel_flow_hardened",
-)
+from repro.vectorized.parity import _VECTOR_CLASS, vector_engine_for
 
 
 def is_vector_capable(algorithm: str) -> bool:
     """Whether ``backend="auto"`` may route this algorithm to the
     vectorized engine (given no schedule/fault/history overrides)."""
-    return algorithm in _VECTOR_CAPABLE
+    return algorithm in _VECTOR_CLASS
 
 
 def default_round_cap(n: int, epsilon: float = 1e-15) -> int:
@@ -159,7 +152,7 @@ def run_reduction(
         use_vector = True
     elif backend == "auto":
         use_vector = (
-            algorithm in _VECTOR_CAPABLE
+            is_vector_capable(algorithm)
             and schedule is None
             and message_fault is None
             and (fault_plan is None or fault_plan.is_empty())

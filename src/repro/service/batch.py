@@ -50,11 +50,7 @@ from repro.service.jobs import ExecRequest, ExecResult
 from repro.vectorized.batched import BatchedEngine, BatchedRun, RunErrors
 
 
-def execute_group(
-    requests: Sequence[ExecRequest],
-    *,
-    kernel_backend: Optional[str] = None,
-) -> List[ExecResult]:
+def execute_group(requests: Sequence[ExecRequest]) -> List[ExecResult]:
     """Execute a group of jobs, batching the vector-capable ones.
 
     The group is partitioned by ``(algorithm, n, d)`` × engine path; each
@@ -71,7 +67,7 @@ def execute_group(
         else:
             object_reqs.append(req)
     for part in vector_parts.values():
-        for res in _execute_vector_batch(part, kernel_backend=kernel_backend):
+        for res in _execute_vector_batch(part):
             results[res.job_id] = res
     for req in object_reqs:
         results[req.job_id] = _execute_object(req)
@@ -128,11 +124,7 @@ def _execute_object(req: ExecRequest) -> ExecResult:
     )
 
 
-def _execute_vector_batch(
-    requests: Sequence[ExecRequest],
-    *,
-    kernel_backend: Optional[str] = None,
-) -> List[ExecResult]:
+def _execute_vector_batch(requests: Sequence[ExecRequest]) -> List[ExecResult]:
     """R jobs of one ``(algorithm, n, d)`` signature as one program."""
     n_runs = len(requests)
     n = requests[0].topology.n
@@ -179,9 +171,7 @@ def _execute_vector_batch(
             )
         )
 
-    engine = BatchedEngine(
-        requests[0].algorithm, runs, backend=kernel_backend
-    )
+    engine = BatchedEngine(requests[0].algorithm, runs)
     best = _BestTrackers([req.stall_rounds for req in requests])
     # Max over the run's (n, d) block first, then one divide by the run
     # scale — the same operation order as vec_error.

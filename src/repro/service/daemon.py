@@ -121,9 +121,7 @@ class _Job:
         self.crash_attempts = crash_attempts
 
 
-def _execute_in_worker(
-    requests: List[ExecRequest], kernel_backend: Optional[str]
-) -> List[ExecResult]:
+def _execute_in_worker(requests: List[ExecRequest]) -> List[ExecResult]:
     """Worker-process body for one job group.
 
     The ``crash_attempts`` test seam fires here and only here: an
@@ -136,7 +134,7 @@ def _execute_in_worker(
             os._exit(42)
     from repro.service.batch import execute_group
 
-    return execute_group(requests, kernel_backend=kernel_backend)
+    return execute_group(requests)
 
 
 class ReductionDaemon:
@@ -165,7 +163,6 @@ class ReductionDaemon:
         max_batch: int = 64,
         linger_s: float = 0.01,
         start_method: Optional[str] = None,
-        kernel_backend: Optional[str] = None,
         registry: Optional[MetricsRegistry] = None,
     ) -> None:
         if workers < 0:
@@ -191,7 +188,6 @@ class ReductionDaemon:
         # Resolved here, so a bad start method fails the constructor and
         # not a dispatcher thread.
         self._ctx = procs.mp_context(start_method)
-        self._kernel_backend = kernel_backend
 
         self.registry = registry if registry is not None else MetricsRegistry()
         reg = self.registry
@@ -642,15 +638,13 @@ class ReductionDaemon:
             if self._workers == 0:
                 from repro.service.batch import execute_group
 
-                outcome = procs.call(
-                    execute_group, requests, kernel_backend=self._kernel_backend
-                )
+                outcome = procs.call(execute_group, requests)
             else:
                 deadlines = [j.deadline for j in group if j.deadline is not None]
                 outcome = procs.run(
                     self._ctx,
                     _execute_in_worker,
-                    (requests, self._kernel_backend),
+                    (requests,),
                     deadline=min(deadlines) if deadlines else None,
                 )
             state, payload = outcome

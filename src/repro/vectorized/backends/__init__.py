@@ -1,78 +1,27 @@
-"""Kernel backends for the vectorized engines.
+"""The round kernels of the vectorized engines.
 
-``resolve_backend(name)`` is the single entry point: the engines, the
-campaign runner and the benchmark harness all go through it, so backend
-selection behaves identically everywhere.
-
-- ``"numpy"`` — the whole-array reference kernels; bit-for-bit identical
-  to the object engine under scripted schedules.
-- ``"numba"`` — fused loop kernels, JIT-compiled when numba is
-  installed. When it is not, resolution *falls back to numpy with a
-  RuntimeWarning* rather than failing: a spec that says ``backend:
-  numba`` still runs everywhere, just without the speedup. (Tests that
-  need the numba kernel *logic* without numba use
-  ``NumbaKernels(jit=False)`` directly.)
+:class:`NumpyKernels` holds the one numeric core of a round for all four
+vectorized algorithms; every vectorized and batched engine runs it.
 """
 
 from __future__ import annotations
 
-import warnings
-
 from repro.exceptions import ConfigurationError
-from repro.vectorized.backends.base import KernelBackend
-from repro.vectorized.backends.numba_backend import HAVE_NUMBA, NumbaKernels
 from repro.vectorized.backends.numpy_backend import NumpyKernels
 
-#: Names accepted by specs, CLIs and resolve_backend, in preference order.
-BACKEND_NAMES = ("numpy", "numba")
-
-#: True when the numba import succeeded and jitted kernels are usable.
-NUMBA_AVAILABLE = HAVE_NUMBA
-
-DEFAULT_BACKEND = "numpy"
+#: Always False: the optional numba kernels were removed, and the NumPy
+#: kernels are the only ones. Kept for tools that record the environment.
+NUMBA_AVAILABLE = False
 
 
-def available_backends() -> tuple:
-    """Backend names that resolve without falling back on this machine."""
-    return ("numpy", "numba") if NUMBA_AVAILABLE else ("numpy",)
+def resolve_backend(name=None) -> NumpyKernels:
+    """The round kernels for ``name``: ``None`` or ``"numpy"``.
 
-
-def resolve_backend(name=None) -> KernelBackend:
-    """Resolve a backend name to a :class:`KernelBackend` instance.
-
-    ``None`` means the default (numpy). Unknown names raise
-    :class:`~repro.exceptions.ConfigurationError`; ``"numba"`` without
-    numba installed warns and returns the numpy reference backend.
+    Any other name raises :class:`~repro.exceptions.ConfigurationError`,
+    so a caller that still asks for a removed backend fails loudly.
     """
-    if isinstance(name, KernelBackend):
-        return name
-    if name is None:
-        name = DEFAULT_BACKEND
-    if name not in BACKEND_NAMES:
+    if name not in (None, "numpy"):
         raise ConfigurationError(
-            f"unknown backend {name!r}: expected one of {BACKEND_NAMES}"
+            f"unknown backend {name!r}: the numpy kernels are the only ones"
         )
-    if name == "numba":
-        if NUMBA_AVAILABLE:
-            return NumbaKernels(jit=True)
-        warnings.warn(
-            "backend 'numba' requested but numba is not installed; "
-            "falling back to the numpy reference backend "
-            "(pip install -e '.[numba]' to enable jitted kernels)",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return NumpyKernels()
     return NumpyKernels()
-
-
-__all__ = [
-    "BACKEND_NAMES",
-    "DEFAULT_BACKEND",
-    "NUMBA_AVAILABLE",
-    "KernelBackend",
-    "NumbaKernels",
-    "NumpyKernels",
-    "available_backends",
-    "resolve_backend",
-]

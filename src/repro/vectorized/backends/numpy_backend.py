@@ -1,18 +1,49 @@
-"""Pure-NumPy reference kernels.
+"""The round kernels: one fused per-round update for each vectorized
+algorithm.
 
-These are the correctness reference: bit-for-bit identical to the object
-engine under scripted schedules (the engine parity suites assert this),
-and the baseline every other backend is compared against.
+:class:`NumpyKernels` owns the *hot inner round* of every vectorized
+algorithm: the fused send/accumulate update that
+:meth:`repro.vectorized.base.VectorizedEngine._apply_round` runs once per
+round. Everything around the kernel — schedule drawing, loss masking,
+topology arrays, estimates, link-failure handling, dynamic-topology
+deltas, observers — stays in the engines. Kernels receive plain
+``ndarray`` state (mutated in place) plus the round's message arrays,
+and return at most a couple of counters. Every kernel takes the round's
+messages last, ending with ``delivered``.
 
-Operation-order notes mirror :mod:`repro.vectorized.engines`: colliding
-receiver updates go through ``np.add.at`` in ascending message order, and
-padded slots hold exact zeros so they cannot perturb rounding. The flow
-kernels take the pre-round estimate as an argument (the engine's shared
-estimate), so no kernel computes an estimate.
+**Fused mass layout.** Every protocol quantity is a mass pair (value,
+weight), and every mass array stores the pair as one row of ``k = d + 1``
+float64 columns: the ``d`` value columns, then the weight. That covers
+push-sum's mass ``(n, d + 1)``, PF flows ``(n, md, d + 1)``, PCF flows
+``(n, md, 2, d + 1)``, phi ``(n, d + 1)``, the hardened frozen copies
+``(n, md, d + 1)`` and the pre-round estimate ``(n, d + 1)``. Each
+gather, scatter and arithmetic step below moves a whole row, so the
+weight gets exactly the operations, in exactly the order, it got as a
+separate array; that is why the layout changes no bit of any result.
 
-Every mass array holds ``k = d + 1`` columns per row — the values, then
-the weight (see :mod:`repro.vectorized.backends.base`) — so each gather,
-scatter and arithmetic step below moves a whole (value, weight) pair.
+Semantics the kernels honour; the engine parity suites check them
+against the object engine, and the kernel tests against the per-message
+loop kernels in ``tests/loop_kernels.py``, bit for bit:
+
+- **Phase separation.** All send-side updates happen before any
+  delivery: the flow kernels receive the pre-round estimate ``est``
+  (the engine's read-only shared estimate, never written, so no kernel
+  computes an estimate), payloads are snapshots taken after the send
+  phase, and receiver updates never feed back into the same round's
+  sends.
+- **Sender-order accumulation.** Within a round, receiver-side updates
+  that can collide (push-sum mass, PCF phi deltas) are applied in
+  ascending message order through ``np.add.at`` — the order the object
+  engine delivers in. Padded slots hold exact zeros, so they cannot
+  perturb rounding.
+- **Signed zeros.** Phi deltas accumulate as ``0.0 - x`` subtractions
+  from zero, never by unary negation, and are applied for every
+  delivered message even when zero, because ``-0.0 + 0.0 == +0.0`` is
+  observable under bitwise comparison.
+- **Unique sender slots.** Each sender appears at most once per round and
+  receiver ``(node, slot)`` pairs are unique, so per-edge state updates
+  are collision-free by construction. Senders arrive strictly ascending,
+  so a round in which all ``n`` nodes send has ``senders == arange(n)``.
 
 Per-edge state is addressed by *flat edge id*. Slot ``s`` of node ``i``
 is edge ``i * max_degree + s`` of the raveled ``(n * max_degree, k)``
@@ -20,12 +51,13 @@ view of an ``(n, max_degree, k)`` array, and PCF's two flow copies sit
 at rows ``edge * 2 + role`` of the ``(n * max_degree * 2, k)`` view, so a
 copy's partner row is ``row ^ 1``. One integer index per message
 replaces NumPy's slower multi-index fancy indexing; rows are gathered
-with ``ndarray.take`` and scattered through :func:`_rows`. Writes go through
-those views, so kernel state must be C-contiguous:
-:func:`_require_contiguous` refuses anything else with a
-:class:`~repro.exceptions.ConfigurationError`, because raveling a
-non-contiguous array yields a copy and every write into it would be
-lost.
+with ``ndarray.take`` and scattered through :func:`_rows`.
+
+**Contiguous state.** Writes go through those flat views, so kernel
+state must be C-contiguous: :func:`_require_contiguous` refuses anything
+else with a :class:`~repro.exceptions.ConfigurationError`, because
+raveling a non-contiguous array yields a copy and every write into it
+would be lost.
 """
 
 from __future__ import annotations
@@ -36,7 +68,6 @@ from typing import Tuple
 import numpy as np
 
 from repro.exceptions import ConfigurationError
-from repro.vectorized.backends.base import KernelBackend
 
 
 def _require_contiguous(*arrays: np.ndarray) -> None:
@@ -112,13 +143,15 @@ def _send_halves(est, phi, senders):
     return half
 
 
-class NumpyKernels(KernelBackend):
-    """The reference backend: whole-array NumPy round kernels."""
+class NumpyKernels:
+    """Whole-array NumPy round kernels for all four vectorized algorithms."""
 
+    #: Recorded as the ``backend`` of whole-array campaign results.
     name = "numpy"
-    compiled = False
 
     def push_sum_round(self, mass, senders, receivers, delivered) -> None:
+        """One push-sum round on the ``(n, d + 1)`` mass: halve sender
+        mass, deliver in sender order."""
         _require_contiguous(mass)
         # Keep half, send half — the send-side halving happens regardless
         # of delivery (a dropped message loses mass, as in the real
@@ -134,6 +167,9 @@ class NumpyKernels(KernelBackend):
     def push_flow_round(
         self, flow, est, senders, slots, receivers, r_slots, delivered
     ) -> None:
+        """One push-flow round on the ``(n, md, d + 1)`` flows: each
+        sender adds half its estimate to the chosen flow, receivers mirror
+        the payload."""
         _require_contiguous(flow)
         md, k = flow.shape[1], flow.shape[2]
         fm = flow.reshape(-1, k)  # row = edge
@@ -158,6 +194,9 @@ class NumpyKernels(KernelBackend):
     def pcf_round(
         self, flow, c, r, phi, est, senders, slots, receivers, r_slots, delivered
     ) -> Tuple[int, int]:
+        """One push-cancel-flow round on the ``(n, md, 2, d + 1)`` flows,
+        the ``(n, md)`` int8 role bits ``c`` and int64 eras ``r`` and the
+        ``(n, d + 1)`` phi; returns ``(cancellations, swaps)``."""
         _require_contiguous(flow, c, r, phi)
         md, k = c.shape[1], phi.shape[1]
         fm = flow.reshape(-1, k)  # row = edge * 2 + role
@@ -266,6 +305,9 @@ class NumpyKernels(KernelBackend):
         r_slots,
         delivered,
     ) -> Tuple[int, int]:
+        """One hardened-PCF round, with the ``(n, md, d + 1)`` frozen
+        copies and the read-only ``(n, md)`` initiator mask; returns
+        ``(cancellations, catch_ups)``."""
         _require_contiguous(flow, r, frozen, phi)
         md, k = r.shape[1], phi.shape[1]
         fm = flow.reshape(-1, k)  # row = edge * 2 + role

@@ -17,7 +17,7 @@ of reductions under a shared schedule — the distributed QR uses this to
 push all dot products of a Gram-Schmidt step through a single reduction.
 Every mass quantity (initial mass, push-sum mass, flows, phi, estimates)
 is one C-contiguous array whose rows hold ``d + 1`` columns: the ``d``
-values, then the weight (see :mod:`repro.vectorized.backends.base`).
+values, then the weight (see :mod:`repro.vectorized.backends.numpy_backend`).
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import numpy as np
 from repro.exceptions import ConfigurationError
 from repro.simulation.observers import Observer, ObserverList
 from repro.topology.base import Topology
-from repro.vectorized.backends import KernelBackend, resolve_backend
+from repro.vectorized.backends import NumpyKernels
 from repro.vectorized.topology_arrays import TopologyArrays
 
 StopCondition = Callable[["VectorizedEngine", int], bool]
@@ -78,7 +78,6 @@ class VectorizedEngine(abc.ABC):
         loss_probability: float = 0.0,
         targets: Optional[np.ndarray] = None,
         observers: Sequence[Observer] = (),
-        backend: Union[str, KernelBackend, None] = None,
     ) -> None:
         # The batched executor pre-assembles a stacked TopologyArrays for a
         # whole run batch; single runs pass a Topology as before.
@@ -95,7 +94,7 @@ class VectorizedEngine(abc.ABC):
                 f"loss_probability must be in [0, 1], got {loss_probability}"
             )
         self._loss = float(loss_probability)
-        self._kernels = resolve_backend(backend)
+        self._kernels = NumpyKernels()
         self._rng = np.random.default_rng(seed)
         from repro.telemetry.session import session_observers
 
@@ -154,12 +153,8 @@ class VectorizedEngine(abc.ABC):
         return self._messages_delivered
 
     @property
-    def backend(self) -> KernelBackend:
-        """The resolved kernel backend running this engine's rounds."""
-        return self._kernels
-
-    @property
     def backend_name(self) -> str:
+        """Name of the kernels running this engine's rounds."""
         return self._kernels.name
 
     def live_nodes(self) -> list:

@@ -204,8 +204,6 @@ class BatchedEngine:
         self,
         algorithm: str,
         runs: Sequence[BatchedRun],
-        *,
-        backend: Union[str, None] = None,
     ) -> None:
         if not runs:
             raise ConfigurationError("a batch needs at least one run")
@@ -247,7 +245,6 @@ class BatchedEngine:
             np.vstack(values_parts),
             np.concatenate(weights_parts),
             seed=0,
-            backend=backend,
         )
         self._rngs = [np.random.default_rng(run.rng) for run in runs]
         owner: Dict[int, int] = {}
@@ -404,7 +401,7 @@ class BatchedEngine:
 
     @property
     def backend_name(self) -> str:
-        """Name of the kernel backend driving the stacked engine."""
+        """Name of the kernels driving the stacked engine."""
         return self._engine.backend_name
 
     @property

@@ -2,17 +2,17 @@
 
 Each class executes the synchronous round semantics of its object-engine
 counterpart (:mod:`repro.algorithms`): the hot per-round update is
-delegated to the engine's kernel backend
-(:mod:`repro.vectorized.backends`, selected via the ``backend`` keyword),
-whose NumPy reference keeps the floating-point operation *order*
-identical to the object engine — per-message combined phi deltas applied
-in sender order via ``np.add.at`` — so scripted-schedule runs agree
-bit-for-bit between the two engines (verified by the parity tests). The
-kernels take the pre-round estimate from
+delegated to the round kernels
+(:class:`repro.vectorized.backends.NumpyKernels`), which keep the
+floating-point operation *order* identical to the object engine —
+per-message combined phi deltas applied in sender order via
+``np.add.at`` — so scripted-schedule runs agree bit-for-bit between the
+two engines (verified by the parity tests). The kernels take the
+pre-round estimate from
 :meth:`~repro.vectorized.base.VectorizedEngine.shared_estimate`.
 Everything else — estimates (PF's left-to-right flow sum lives only in
 :meth:`VectorPushFlow._estimate`), flow diagnostics, link-failure and
-churn state transitions — stays here and is backend-independent.
+churn state transitions — stays here.
 
 Every mass array is fused: its rows hold the ``d`` values, then the
 weight, so each statement below updates a (value, weight) pair at once.

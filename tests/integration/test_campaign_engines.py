@@ -17,13 +17,11 @@ from repro.exceptions import ConfigurationError
 ENGINES = ("object", "vectorized", "batched")
 
 
-def grid_spec(engine, backend=None):
-    name = f"grid-{engine}" if backend is None else f"grid-{engine}-{backend}"
+def grid_spec(engine):
     return CampaignSpec.from_dict(
         {
-            "name": name,
+            "name": f"grid-{engine}",
             "engine": engine,
-            "backend": backend,
             "algorithms": ["push_flow", "push_cancel_flow"],
             "topologies": [{"family": "hypercube", "n": 16}],
             "faults": [
@@ -100,77 +98,19 @@ class TestBatchedRunnerBehavior:
 
 
 class TestBackendAxis:
-    """The ``backend`` spec key: one grid, three backends, one schema.
+    """Records keep their ``backend`` field: the whole-array engines run
+    the numpy kernels, the object engine none."""
 
-    The kernel backend is a deeper implementation detail than the engine:
-    it must never leak into *what* a record says, only into the resolved
-    ``backend`` tag. On a numba-less box the numba spec falls back to
-    numpy (with a RuntimeWarning) and must then reproduce the numpy run
-    bit-for-bit; with numba installed the jitted run stays within close
-    tolerance of the numpy reference.
-    """
-
-    @pytest.fixture(scope="class")
-    def backend_results(self, tmp_path_factory):
-        import warnings
-
-        results = {}
-        for label, engine, backend in (
-            ("object", "object", None),
-            ("numpy", "batched", "numpy"),
-            ("numba", "batched", "numba"),
-        ):
-            out = tmp_path_factory.mktemp(f"backend-{label}")
-            with warnings.catch_warnings():
-                # The numba spec on a numba-less box warns per group.
-                warnings.simplefilter("ignore", RuntimeWarning)
-                run = run_campaign(grid_spec(engine, backend), out)
-            assert (run.ok, run.failed) == (12, 0)
-            results[label] = load_results(out)
-        return results
-
-    def test_schema_identical_across_backends(self, backend_results):
-        field_sets = {
-            tuple(sorted(record))
-            for records in backend_results.values()
-            for record in records.values()
+    def test_records_carry_resolved_backend(self, engine_results):
+        backends = {
+            engine: {r["backend"] for r in records.values()}
+            for engine, records in engine_results.items()
         }
-        assert len(field_sets) == 1
-        keys = {label: set(r) for label, r in backend_results.items()}
-        assert keys["object"] == keys["numpy"] == keys["numba"]
-        assert len(keys["object"]) == 12
-
-    def test_records_carry_resolved_backend(self, backend_results):
-        assert all(
-            r["backend"] is None
-            for r in backend_results["object"].values()
-        )
-        assert all(
-            r["backend"] == "numpy"
-            for r in backend_results["numpy"].values()
-        )
-        # The numba grid records what actually ran: "numba" when numba is
-        # installed, "numpy" after the import-guard fallback.
-        resolved = {r["backend"] for r in backend_results["numba"].values()}
-        assert len(resolved) == 1
-        assert resolved <= {"numpy", "numba"}
-
-    def test_numba_grid_matches_numpy_reference(self, backend_results):
-        from repro.vectorized.backends import NUMBA_AVAILABLE
-
-        varying = {"wall_s", "kernel_seconds", "recorded_at", "backend"}
-        for key, ref in backend_results["numpy"].items():
-            alt = backend_results["numba"][key]
-            for field in ref:
-                if field in varying:
-                    continue
-                if NUMBA_AVAILABLE and isinstance(ref[field], float):
-                    assert alt[field] == pytest.approx(
-                        ref[field], rel=1e-9, abs=1e-12
-                    ), (key, field)
-                else:
-                    # Fallback path: bit-for-bit the same numpy kernels.
-                    assert ref[field] == alt[field], (key, field)
+        assert backends == {
+            "object": {None},
+            "vectorized": {"numpy"},
+            "batched": {"numpy"},
+        }
 
 
 class TestEngineSpecValidation:
@@ -223,15 +163,16 @@ class TestEngineSpecValidation:
                 }
             )
 
-    def test_backend_on_object_engine_rejected(self):
-        # The object engine has no whole-array kernels; a backend there
-        # would silently mean nothing, so the spec refuses it up front.
-        with pytest.raises(ConfigurationError, match="vectorized engine"):
+    @pytest.mark.parametrize("backend", [None, "numpy"])
+    def test_backend_key_is_unknown(self, backend):
+        # The kernel backend is no longer a setting: a spec that still
+        # names one, even the old default, fails like any unknown key.
+        with pytest.raises(ConfigurationError, match=r"unknown key\(s\) \['backend'\]"):
             CampaignSpec.from_dict(
                 {
-                    "name": "bad",
-                    "engine": "object",
-                    "backend": "numpy",
+                    "name": "old",
+                    "engine": "batched",
+                    "backend": backend,
                     "algorithms": ["push_flow"],
                     "topologies": [{"family": "hypercube", "n": 8}],
                     "faults": [{"kind": "none"}],

@@ -1,10 +1,8 @@
-"""Unit tests for the kernel-backend seam (``repro.vectorized.backends``).
+"""Unit tests for the round kernels (``repro.vectorized.backends``).
 
-Covers backend resolution (defaults, unknown names, the numba-absent
-fallback warning), the engine-level ``backend`` axis, and — most
-importantly — bit-for-bit parity between the numpy reference kernels and
-the numba loop kernels run in plain-Python mode (``jit=False``), which
-exercises the exact code numba compiles without requiring numba.
+Covers kernel resolution and, most importantly, bit-for-bit parity
+between the whole-array numpy kernels and the per-message loop kernels
+of ``tests/loop_kernels.py``, which share no code with them.
 """
 
 import numpy as np
@@ -13,21 +11,12 @@ import pytest
 from repro.exceptions import ConfigurationError
 from repro.topology import hypercube
 from repro.topology.random_graphs import erdos_renyi
-from repro.vectorized import backends as backends_mod
-from repro.vectorized.backends import (
-    BACKEND_NAMES,
-    DEFAULT_BACKEND,
-    NUMBA_AVAILABLE,
-    KernelBackend,
-    NumbaKernels,
-    NumpyKernels,
-    available_backends,
-    resolve_backend,
-)
+from repro.vectorized.backends import NumpyKernels, resolve_backend
 from repro.vectorized.batched import BatchedEngine, BatchedRun
 from repro.vectorized.engines import VectorPushSum
 from repro.vectorized.parity import vector_engine_for
 from repro.vectorized.topology_arrays import TopologyArrays
+from tests.loop_kernels import LoopKernels
 
 ALGORITHMS = (
     "push_sum",
@@ -42,75 +31,23 @@ class TestResolveBackend:
         kernels = resolve_backend(None)
         assert isinstance(kernels, NumpyKernels)
         assert kernels.name == "numpy"
-        assert kernels.compiled is False
-        assert DEFAULT_BACKEND == "numpy"
-
-    def test_instance_passthrough(self):
-        kernels = NumpyKernels()
-        assert resolve_backend(kernels) is kernels
+        assert isinstance(resolve_backend("numpy"), NumpyKernels)
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown backend 'cuda'"):
             resolve_backend("cuda")
         with pytest.raises(ConfigurationError, match="numpy"):
             resolve_backend("NUMPY")  # names are case-sensitive
-
-    def test_numba_absent_falls_back_with_warning(self, monkeypatch):
-        monkeypatch.setattr(backends_mod, "NUMBA_AVAILABLE", False)
-        with pytest.warns(RuntimeWarning, match="numba is not installed"):
-            kernels = resolve_backend("numba")
-        assert isinstance(kernels, NumpyKernels)
-        assert kernels.name == "numpy"
-
-    @pytest.mark.skipif(not NUMBA_AVAILABLE, reason="numba not installed")
-    def test_numba_present_resolves_jitted(self):
-        kernels = resolve_backend("numba")
-        assert isinstance(kernels, NumbaKernels)
-        assert kernels.compiled is True
-
-    def test_available_backends_consistent(self):
-        avail = available_backends()
-        assert "numpy" in avail
-        assert set(avail) <= set(BACKEND_NAMES)
-        assert ("numba" in avail) == NUMBA_AVAILABLE
-
-
-class TestNumbaKernelsConstruction:
-    def test_python_mode_always_available(self):
-        kernels = NumbaKernels(jit=False)
-        assert isinstance(kernels, KernelBackend)
-        assert kernels.name == "numba"
-        assert kernels.compiled is False
-
-    @pytest.mark.skipif(NUMBA_AVAILABLE, reason="numba is installed")
-    def test_jit_without_numba_raises(self):
-        with pytest.raises(RuntimeError, match=r"\.\[numba\]"):
-            NumbaKernels(jit=True)
-
-    def test_default_jit_tracks_availability(self):
-        kernels = NumbaKernels()
-        assert kernels.compiled is NUMBA_AVAILABLE
+        # A removed backend fails loudly instead of running numpy.
+        with pytest.raises(ConfigurationError, match="unknown backend 'numba'"):
+            resolve_backend("numba")
 
 
 class TestEngineBackendAxis:
     def test_backend_properties(self):
         engine = VectorPushSum(hypercube(3), np.ones(8), np.ones(8))
         assert engine.backend_name == "numpy"
-        assert isinstance(engine.backend, NumpyKernels)
-
-    def test_engine_rejects_unknown_backend(self):
-        with pytest.raises(ConfigurationError, match="unknown backend"):
-            VectorPushSum(
-                hypercube(3), np.ones(8), np.ones(8), backend="fortran"
-            )
-
-    def test_engine_accepts_backend_instance(self):
-        kernels = NumbaKernels(jit=False)
-        engine = VectorPushSum(
-            hypercube(3), np.ones(8), np.ones(8), backend=kernels
-        )
-        assert engine.backend is kernels
-        assert engine.backend_name == "numba"
+        assert isinstance(engine._kernels, NumpyKernels)
 
     def test_batched_engine_backend_name(self):
         engine = BatchedEngine(
@@ -127,31 +64,25 @@ class TestEngineBackendAxis:
         assert engine.backend_name == "numpy"
 
 
-def _run_engine(algorithm, backend, rounds=60):
+def _run_engine(algorithm, kernels, rounds=60):
     topo = hypercube(4)
     rng = np.random.default_rng(123)
     values = rng.normal(size=(topo.n, 3))
     weights = np.ones(topo.n)
     cls = vector_engine_for(algorithm)
-    engine = cls(
-        topo,
-        values,
-        weights,
-        loss_probability=0.15,
-        seed=7,
-        backend=backend,
-    )
+    engine = cls(topo, values, weights, loss_probability=0.15, seed=7)
+    engine._kernels = kernels
     engine.run(rounds)
     return engine
 
 
 class TestKernelParity:
-    """numpy kernels vs numba loop kernels (python mode), bit-for-bit."""
+    """numpy kernels vs the loop kernels, bit-for-bit."""
 
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_estimates_bit_for_bit(self, algorithm):
         ref = _run_engine(algorithm, NumpyKernels())
-        alt = _run_engine(algorithm, NumbaKernels(jit=False))
+        alt = _run_engine(algorithm, LoopKernels())
         a, b = ref.estimates(), alt.estimates()
         assert a.tobytes() == b.tobytes()  # incl. signed zeros / NaN bits
         assert ref.messages_sent == alt.messages_sent
@@ -159,27 +90,16 @@ class TestKernelParity:
 
     def test_pcf_handshake_counters_match(self):
         ref = _run_engine("push_cancel_flow", NumpyKernels())
-        alt = _run_engine("push_cancel_flow", NumbaKernels(jit=False))
+        alt = _run_engine("push_cancel_flow", LoopKernels())
         assert (ref.cancellations, ref.swaps) == (alt.cancellations, alt.swaps)
         assert ref.cancellations > 0  # the run actually exercised handshakes
 
     def test_hardened_counters_match(self):
         ref = _run_engine("push_cancel_flow_hardened", NumpyKernels())
-        alt = _run_engine("push_cancel_flow_hardened", NumbaKernels(jit=False))
+        alt = _run_engine("push_cancel_flow_hardened", LoopKernels())
         assert (ref.cancellations, ref.catch_ups) == (
             alt.cancellations,
             alt.catch_ups,
-        )
-
-    @pytest.mark.skipif(not NUMBA_AVAILABLE, reason="numba not installed")
-    @pytest.mark.parametrize("algorithm", ALGORITHMS)
-    def test_jitted_close_to_numpy(self, algorithm):
-        # Jitted kernels may contract FMAs, so the acceptance bar is
-        # close-tolerance, not bit-for-bit (see DESIGN.md).
-        ref = _run_engine(algorithm, NumpyKernels())
-        jit = _run_engine(algorithm, NumbaKernels(jit=True))
-        np.testing.assert_allclose(
-            ref.estimates(), jit.estimates(), rtol=1e-12, atol=1e-12
         )
 
 
@@ -262,8 +182,8 @@ def _argument(state, name):
 
 
 class TestArbitraryStateParity:
-    """The flat-index numpy kernels against the numba loop kernels in
-    Python mode, one round from arbitrary state, bit for bit."""
+    """The flat-index numpy kernels against the loop kernels, one round
+    from arbitrary state, bit for bit."""
 
     @pytest.mark.parametrize("kernel", sorted(_KERNEL_STATE))
     def test_one_round_bit_for_bit(self, kernel):
@@ -272,9 +192,9 @@ class TestArbitraryStateParity:
             if kernel == "push_sum_round":
                 messages = (messages[0], messages[2], messages[4])
             outcomes = []
-            for backend in (NumpyKernels(), NumbaKernels(jit=False)):
+            for kernels in (NumpyKernels(), LoopKernels()):
                 args = [_argument(state, name) for name in _KERNEL_STATE[kernel]]
-                returned = getattr(backend, kernel)(*args, *messages)
+                returned = getattr(kernels, kernel)(*args, *messages)
                 outcomes.append((returned, [a.tobytes() for a in args]))
             assert outcomes[0] == outcomes[1], (kernel, seed)
 
@@ -313,16 +233,3 @@ class TestContiguityGuard:
                 np.roll(np.arange(8), 1),
                 np.ones(8, dtype=bool),
             )
-
-
-class TestFallbackEndToEnd:
-    def test_engine_numba_spec_runs_without_numba(self, monkeypatch):
-        """A spec saying backend='numba' must run on a numba-less box."""
-        monkeypatch.setattr(backends_mod, "NUMBA_AVAILABLE", False)
-        with pytest.warns(RuntimeWarning, match="numba is not installed"):
-            engine = VectorPushSum(
-                hypercube(3), np.ones(8), np.ones(8), backend="numba"
-            )
-        assert engine.backend_name == "numpy"
-        engine.run(5)
-        assert engine.round == 5

@@ -151,6 +151,30 @@ class TestCheckpointResume:
         on_disk = json.loads((tmp_path / "campaign.json").read_text())
         assert on_disk == spec.to_dict()
 
+    def _record_backend(self, out_dir, backend):
+        """Rewrite a campaign dir's spec as a run that still recorded the
+        removed kernel-backend key would have left it."""
+        path = out_dir / "campaign.json"
+        spec = json.loads(path.read_text())
+        path.write_text(json.dumps({**spec, "backend": backend}))
+
+    @pytest.mark.parametrize("backend", [None, "numpy"])
+    def test_resume_ignores_recorded_numpy_backend(self, tmp_path, backend):
+        spec = tiny_spec(engine="batched")
+        run_campaign(spec, tmp_path)
+        self._record_backend(tmp_path, backend)
+        rerun = run_campaign(spec, tmp_path)
+        assert (rerun.skipped, rerun.executed) == (2, 0)
+
+    def test_resume_refuses_removed_backend(self, tmp_path):
+        # Jitted kernels match numpy only within tolerance: their cells
+        # must not mix with numpy cells in one results file.
+        spec = tiny_spec(engine="batched")
+        run_campaign(spec, tmp_path)
+        self._record_backend(tmp_path, "numba")
+        with pytest.raises(ConfigurationError, match="removed 'numba' kernel backend"):
+            run_campaign(spec, tmp_path)
+
 
 class TestValidation:
     def test_bad_worker_retry_timeout_values(self, tmp_path):
